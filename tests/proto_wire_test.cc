@@ -5,7 +5,9 @@
 #include <cmath>
 #include <random>
 
+#include "proto/federation.h"
 #include "proto/messages.h"
+#include "proto/telemetry.h"
 
 namespace p4p::proto {
 namespace {
@@ -184,6 +186,95 @@ TEST(Wire, RandomMatrixMessagesRoundTripWithTightCapacity) {
     ASSERT_TRUE(row_decoded.has_value());
     EXPECT_EQ(std::get<GetPDistancesResp>(*row_decoded).distances, row.distances);
   }
+}
+
+// Known answers: the sealed-frame envelope is
+//   u32 magic | u8 protocol version | u8 tag | payload | u32 FNV-1a
+// and peers on older builds parse exactly these bytes. The expected frames
+// below are spelled out literally (not produced by the codec under test),
+// so any change to the layout, the byte order or the checksum fails here.
+
+std::vector<std::uint8_t> Bytes(std::string_view s) {
+  return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+TEST(WireKnownAnswer, Fnv1aReferenceVectors) {
+  EXPECT_EQ(FrameChecksum(Bytes("")), 0x811c9dc5u);
+  EXPECT_EQ(FrameChecksum(Bytes("a")), 0xe40c292cu);
+  EXPECT_EQ(FrameChecksum(Bytes("foobar")), 0xbf9cf968u);
+}
+
+TEST(WireKnownAnswer, FederationBeaconBytes) {
+  const std::vector<std::uint8_t> expected = {
+      0x50, 0x34, 0x50, 0x46,                          // "P4PF"
+      0x01,                                            // protocol version
+      0x04,                                            // kBeacon
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,  // term
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // version
+      0x07, 0x12, 0x03, 0xfb};                         // FNV-1a
+  const auto bytes = EncodeBeacon(7, 0x0102030405060708ULL);
+  EXPECT_EQ(bytes, expected);
+  const auto info = DecodeBeacon(expected);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->term, 7u);
+  EXPECT_EQ(info->version, 0x0102030405060708ULL);
+  EXPECT_EQ(PeekFederationTag(expected), FederationTag::kBeacon);
+}
+
+TEST(WireKnownAnswer, TelemetryAckBytes) {
+  const std::vector<std::uint8_t> expected = {
+      0x50, 0x34, 0x50, 0x4c,                          // "P4PL"
+      0x01,                                            // protocol version
+      0x02,                                            // kAck
+      0x02,                                            // kStaleSeq
+      0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88,  // seq
+      0x45, 0xa0, 0xbd, 0x08};                         // FNV-1a
+  const auto bytes = EncodeTelemetryAck(
+      TelemetryAck{TelemetryStatus::kStaleSeq, 0x1122334455667788ULL});
+  EXPECT_EQ(bytes, expected);
+  const auto ack = DecodeTelemetryAck(expected);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, TelemetryStatus::kStaleSeq);
+  EXPECT_EQ(ack->seq, 0x1122334455667788ULL);
+  EXPECT_EQ(PeekTelemetryTag(expected), TelemetryTag::kAck);
+}
+
+TEST(WireKnownAnswer, ValidationRequestBytes) {
+  const std::vector<std::uint8_t> expected = {
+      0x50, 0x34, 0x50, 0x56,                          // "P4PV"
+      0x01,                                            // protocol version
+      0x01,                                            // request tag
+      0xa1, 0xb2, 0xc3, 0xd4, 0xe5, 0xf6, 0x07, 0x18,  // nonce
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63,  // if_version
+      0x70, 0x96, 0x42, 0xa0};                         // FNV-1a
+  const auto bytes =
+      EncodeValidationRequest(ValidationRequest{0xa1b2c3d4e5f60718ULL, 99});
+  EXPECT_EQ(bytes, expected);
+  const auto request = DecodeValidationRequest(expected);
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->nonce, 0xa1b2c3d4e5f60718ULL);
+  EXPECT_EQ(request->if_version, 99u);
+}
+
+TEST(WireKnownAnswer, ValidationResponseBytes) {
+  const std::vector<std::uint8_t> expected = {
+      0x50, 0x34, 0x50, 0x56,                          // "P4PV"
+      0x01,                                            // protocol version
+      0x02,                                            // response tag
+      0x01,                                            // kNotModified
+      0xa1, 0xb2, 0xc3, 0xd4, 0xe5, 0xf6, 0x07, 0x18,  // nonce
+      0x01, 0x0b,                                      // NotModifiedResp frame
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a,  //   version
+      0x63, 0x69, 0xa6, 0x5d};                         // FNV-1a
+  const auto bytes = EncodeValidationResponse(
+      0xa1b2c3d4e5f60718ULL, ValidationStatus::kNotModified,
+      Encode(NotModifiedResp{42}));
+  EXPECT_EQ(bytes, expected);
+  const auto response = DecodeValidationResponse(expected);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->nonce, 0xa1b2c3d4e5f60718ULL);
+  EXPECT_EQ(response->status, ValidationStatus::kNotModified);
+  EXPECT_EQ(response->version, 42u);
 }
 
 }  // namespace
