@@ -113,13 +113,10 @@ int main() {
   big.horizon = 1200.0;
   big.maxmin_full_sample_every = 37;
   // The saturated flagship dirties ~88% of steps, so most recomputes take
-  // the dense cutover; dirty components that do stay incremental may solve
-  // in parallel where the host has cores (rates are bit-identical either
-  // way, so this only moves wall clock).
-  big.maxmin_solver_threads = hw > 1 ? static_cast<int>(std::min(hw, 4u)) : 1;
-  // With ~90% of flows dirtied per recompute, gathering before cutting over
-  // is pure waste: a 0.1 cutover makes the lower-bound shortcut route nearly
-  // every dirty pass straight to the dense solve with no BFS at all.
+  // the dense cutover. With ~90% of flows dirtied per recompute, gathering
+  // before cutting over is pure waste: a 0.1 cutover makes the lower-bound
+  // shortcut route nearly every dirty pass straight to the dense solve with
+  // no BFS at all.
   big.maxmin_dense_cutover = 0.1;
   big.rng_seed = 4242;
   sim::BitTorrentSimulator flagship_sim(graph, routing, big);

@@ -13,85 +13,21 @@ namespace p4p::proto {
 
 namespace {
 
-/// Appends the frame header (magic + protocol version + tag).
-void FrameHeader(Writer& w, FederationTag tag) {
-  w.u32(kFederationMagic);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(tag));
-}
-
-/// Seals the frame with the trailing FNV-1a checksum.
-std::vector<std::uint8_t> Seal(Writer& w) {
-  w.u32(FrameChecksum(w.bytes()));
-  return w.take();
-}
-
-/// Verifies the trailing checksum and the header; returns a Reader over
-/// the payload after the tag, or std::nullopt. `expected` pins the tag.
-std::optional<std::span<const std::uint8_t>> CheckedPayload(
-    std::span<const std::uint8_t> bytes, FederationTag expected) {
-  // Header (6) + checksum (4) is the minimum frame.
-  if (bytes.size() < 10) return std::nullopt;
-  const auto body = bytes.first(bytes.size() - 4);
-  Reader tail(bytes.subspan(body.size()));
-  if (tail.u32() != FrameChecksum(body)) return std::nullopt;
-  Reader header(body);
-  if (header.u32() != kFederationMagic) return std::nullopt;
-  if (header.u8() != kProtocolVersion) return std::nullopt;
-  if (header.u8() != static_cast<std::uint8_t>(expected)) return std::nullopt;
-  return body.subspan(6);
-}
+constexpr std::uint8_t Tag(FederationTag tag) { return static_cast<std::uint8_t>(tag); }
 
 }  // namespace
 
 std::optional<FederationTag> PeekFederationTag(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  if (r.u32() != kFederationMagic) return std::nullopt;
-  if (r.u8() != kProtocolVersion) return std::nullopt;
-  const std::uint8_t tag = r.u8();
-  if (!r.ok() || tag < static_cast<std::uint8_t>(FederationTag::kFramePush) ||
-      tag > static_cast<std::uint8_t>(FederationTag::kDeltaPush)) {
+  const auto tag = PeekSealedTag(bytes, kFederationMagic);
+  if (!tag || *tag < Tag(FederationTag::kFramePush) ||
+      *tag > Tag(FederationTag::kDeltaPush)) {
     return std::nullopt;
   }
-  return static_cast<FederationTag>(tag);
+  return static_cast<FederationTag>(*tag);
 }
 
-namespace {
-
-/// Incremental FNV-1a (same constants as FrameChecksum) for digesting a
-/// frame set without materializing one contiguous buffer.
-class Fnv32 {
- public:
-  void bytes(std::span<const std::uint8_t> data) {
-    for (const std::uint8_t b : data) {
-      hash_ = (hash_ ^ b) * 16777619u;
-    }
-  }
-  void u32(std::uint32_t v) {
-    const std::uint8_t buf[4] = {
-        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
-        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
-    bytes(buf);
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
-  /// Length-prefixed, so adjacent variable-size fields cannot alias.
-  void blob(std::span<const std::uint8_t> data) {
-    u32(static_cast<std::uint32_t>(data.size()));
-    bytes(data);
-  }
-  std::uint32_t digest() const { return hash_; }
-
- private:
-  std::uint32_t hash_ = 2166136261u;
-};
-
-}  // namespace
-
 std::uint32_t FrameSetChecksum(const SnapshotFrameSet& frames) {
-  Fnv32 fnv;
+  Fnv1a fnv;
   fnv.u64(frames.term);
   fnv.u64(frames.version);
   fnv.u64(frames.view_version);
@@ -112,8 +48,7 @@ std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames) {
   std::size_t payload = 8 + 8 + 8 + 4 + 4 + frames.external_view.size() + 4 +
                         frames.not_modified.size() + 4 + 1 + 4 + frames.policy.size();
   for (const auto& row : frames.rows) payload += 8 + 4 + row.size();
-  w.reserve(6 + payload + 4);
-  FrameHeader(w, FederationTag::kFramePush);
+  BeginSealedFrame(w, kFederationMagic, Tag(FederationTag::kFramePush), payload);
   w.u64(frames.term);
   w.u64(frames.version);
   w.u64(frames.view_version);
@@ -127,11 +62,12 @@ std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames) {
   }
   w.u8(frames.policy.empty() ? 0 : 1);
   if (!frames.policy.empty()) w.blob(frames.policy);
-  return Seal(w);
+  return SealFrame(w);
 }
 
 std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kFramePush);
+  const auto payload =
+      OpenSealedFrame(bytes, kFederationMagic, Tag(FederationTag::kFramePush));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   SnapshotFrameSet frames;
@@ -164,8 +100,7 @@ std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta) {
   std::size_t payload = 8 + 8 + 8 + 8 + 4 + 4 + delta.not_modified.size() + 4 +
                         1 + 4 + delta.policy.size() + 4;
   for (const auto& row : delta.rows) payload += 4 + 8 + 4 + row.bytes.size();
-  w.reserve(6 + payload + 4);
-  FrameHeader(w, FederationTag::kDeltaPush);
+  BeginSealedFrame(w, kFederationMagic, Tag(FederationTag::kDeltaPush), payload);
   w.u64(delta.term);
   w.u64(delta.base_version);
   w.u64(delta.version);
@@ -181,11 +116,12 @@ std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta) {
   w.u8(delta.policy.empty() ? 0 : 1);
   if (!delta.policy.empty()) w.blob(delta.policy);
   w.u32(delta.result_checksum);
-  return Seal(w);
+  return SealFrame(w);
 }
 
 std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kDeltaPush);
+  const auto payload =
+      OpenSealedFrame(bytes, kFederationMagic, Tag(FederationTag::kDeltaPush));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   DeltaPush delta;
@@ -232,16 +168,16 @@ std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> EncodeFrameAck(const FrameAck& ack) {
   Writer w;
-  w.reserve(6 + 1 + 8 + 8 + 4);
-  FrameHeader(w, FederationTag::kFrameAck);
+  BeginSealedFrame(w, kFederationMagic, Tag(FederationTag::kFrameAck), 1 + 8 + 8);
   w.u8(static_cast<std::uint8_t>(ack.status));
   w.u64(ack.version);
   w.u64(ack.term);
-  return Seal(w);
+  return SealFrame(w);
 }
 
 std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kFrameAck);
+  const auto payload =
+      OpenSealedFrame(bytes, kFederationMagic, Tag(FederationTag::kFrameAck));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   const std::uint8_t status = r.u8();
@@ -259,16 +195,16 @@ std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> EncodeFramePull(const FramePull& pull) {
   Writer w;
-  w.reserve(6 + 8 + 8 + 1 + 4);
-  FrameHeader(w, FederationTag::kFramePull);
+  BeginSealedFrame(w, kFederationMagic, Tag(FederationTag::kFramePull), 8 + 8 + 1);
   w.u64(pull.have_version);
   w.u64(pull.have_term);
   w.u8(pull.want_full ? 1 : 0);
-  return Seal(w);
+  return SealFrame(w);
 }
 
 std::optional<FramePull> DecodeFramePull(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kFramePull);
+  const auto payload =
+      OpenSealedFrame(bytes, kFederationMagic, Tag(FederationTag::kFramePull));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   FramePull pull;
@@ -283,15 +219,15 @@ std::optional<FramePull> DecodeFramePull(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> EncodeBeacon(std::uint64_t term, std::uint64_t version) {
   Writer w;
-  w.reserve(6 + 8 + 8 + 4);
-  FrameHeader(w, FederationTag::kBeacon);
+  BeginSealedFrame(w, kFederationMagic, Tag(FederationTag::kBeacon), 8 + 8);
   w.u64(term);
   w.u64(version);
-  return Seal(w);
+  return SealFrame(w);
 }
 
 std::optional<BeaconInfo> DecodeBeacon(std::span<const std::uint8_t> datagram) {
-  const auto payload = CheckedPayload(datagram, FederationTag::kBeacon);
+  const auto payload =
+      OpenSealedFrame(datagram, kFederationMagic, Tag(FederationTag::kBeacon));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   BeaconInfo info;

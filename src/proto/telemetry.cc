@@ -4,55 +4,28 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "proto/messages.h"
+#include "proto/wire.h"
 
 namespace p4p::proto {
 
 namespace {
 
-void TelemetryHeader(Writer& w, TelemetryTag tag) {
-  w.u32(kTelemetryMagic);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(tag));
-}
-
-std::vector<std::uint8_t> Seal(Writer& w) {
-  w.u32(FrameChecksum(w.bytes()));
-  return w.take();
-}
-
-/// Verifies checksum + header; returns the payload span or std::nullopt.
-std::optional<std::span<const std::uint8_t>> CheckedPayload(
-    std::span<const std::uint8_t> bytes, TelemetryTag expected) {
-  if (bytes.size() < 10) return std::nullopt;
-  const auto body = bytes.first(bytes.size() - 4);
-  Reader tail(bytes.subspan(body.size()));
-  if (tail.u32() != FrameChecksum(body)) return std::nullopt;
-  Reader header(body);
-  if (header.u32() != kTelemetryMagic) return std::nullopt;
-  if (header.u8() != kProtocolVersion) return std::nullopt;
-  if (header.u8() != static_cast<std::uint8_t>(expected)) return std::nullopt;
-  return body.subspan(6);
-}
+constexpr std::uint8_t Tag(TelemetryTag tag) { return static_cast<std::uint8_t>(tag); }
 
 }  // namespace
 
 std::optional<TelemetryTag> PeekTelemetryTag(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  if (r.u32() != kTelemetryMagic) return std::nullopt;
-  if (r.u8() != kProtocolVersion) return std::nullopt;
-  const std::uint8_t tag = r.u8();
-  if (!r.ok() || tag < static_cast<std::uint8_t>(TelemetryTag::kReport) ||
-      tag > static_cast<std::uint8_t>(TelemetryTag::kAck)) {
+  const auto tag = PeekSealedTag(bytes, kTelemetryMagic);
+  if (!tag || *tag < Tag(TelemetryTag::kReport) || *tag > Tag(TelemetryTag::kAck)) {
     return std::nullopt;
   }
-  return static_cast<TelemetryTag>(tag);
+  return static_cast<TelemetryTag>(*tag);
 }
 
 std::vector<std::uint8_t> EncodeLinkLoadReport(const LinkLoadReport& report) {
   Writer w;
-  w.reserve(6 + 4 + 8 + 4 + report.samples.size() * 12 + 4);
-  TelemetryHeader(w, TelemetryTag::kReport);
+  BeginSealedFrame(w, kTelemetryMagic, Tag(TelemetryTag::kReport),
+                   4 + 8 + 4 + report.samples.size() * 12);
   w.u32(report.reporter);
   w.u64(report.seq);
   w.u32(static_cast<std::uint32_t>(report.samples.size()));
@@ -60,12 +33,13 @@ std::vector<std::uint8_t> EncodeLinkLoadReport(const LinkLoadReport& report) {
     w.u32(static_cast<std::uint32_t>(sample.link));
     w.f64(sample.bps);
   }
-  return Seal(w);
+  return SealFrame(w);
 }
 
 std::optional<LinkLoadReport> DecodeLinkLoadReport(
     std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, TelemetryTag::kReport);
+  const auto payload =
+      OpenSealedFrame(bytes, kTelemetryMagic, Tag(TelemetryTag::kReport));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   LinkLoadReport report;
@@ -97,15 +71,15 @@ std::optional<LinkLoadReport> DecodeLinkLoadReport(
 
 std::vector<std::uint8_t> EncodeTelemetryAck(const TelemetryAck& ack) {
   Writer w;
-  w.reserve(6 + 1 + 8 + 4);
-  TelemetryHeader(w, TelemetryTag::kAck);
+  BeginSealedFrame(w, kTelemetryMagic, Tag(TelemetryTag::kAck), 1 + 8);
   w.u8(static_cast<std::uint8_t>(ack.status));
   w.u64(ack.seq);
-  return Seal(w);
+  return SealFrame(w);
 }
 
 std::optional<TelemetryAck> DecodeTelemetryAck(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, TelemetryTag::kAck);
+  const auto payload =
+      OpenSealedFrame(bytes, kTelemetryMagic, Tag(TelemetryTag::kAck));
   if (!payload) return std::nullopt;
   Reader r(*payload);
   const std::uint8_t status = r.u8();

@@ -5,6 +5,12 @@
 
 namespace p4p::proto {
 
+namespace {
+/// Header (magic + version + tag) and trailing checksum of a sealed frame.
+constexpr std::size_t kSealedHeaderBytes = 4 + 1 + 1;
+constexpr std::size_t kSealedOverheadBytes = kSealedHeaderBytes + 4;
+}  // namespace
+
 void Writer::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));
   buf_.push_back(static_cast<std::uint8_t>(v));
@@ -124,6 +130,45 @@ std::vector<double> Reader::f64_vec() {
   out.reserve(len);
   for (std::uint32_t i = 0; i < len; ++i) out.push_back(f64());
   return out;
+}
+
+std::uint32_t FrameChecksum(std::span<const std::uint8_t> bytes) {
+  Fnv1a fnv;
+  fnv.bytes(bytes);
+  return fnv.digest();
+}
+
+void BeginSealedFrame(Writer& w, std::uint32_t magic, std::uint8_t tag,
+                      std::size_t payload_bytes) {
+  w.reserve(kSealedOverheadBytes + payload_bytes);
+  w.u32(magic);
+  w.u8(kProtocolVersion);
+  w.u8(tag);
+}
+
+std::vector<std::uint8_t> SealFrame(Writer& w) {
+  w.u32(FrameChecksum(w.bytes()));
+  return w.take();
+}
+
+std::optional<std::span<const std::uint8_t>> OpenSealedFrame(
+    std::span<const std::uint8_t> frame, std::uint32_t magic, std::uint8_t tag) {
+  if (frame.size() < kSealedOverheadBytes) return std::nullopt;
+  const auto body = frame.first(frame.size() - 4);
+  Reader tail(frame.subspan(body.size()));
+  if (tail.u32() != FrameChecksum(body)) return std::nullopt;
+  if (PeekSealedTag(body, magic) != tag) return std::nullopt;
+  return body.subspan(kSealedHeaderBytes);
+}
+
+std::optional<std::uint8_t> PeekSealedTag(std::span<const std::uint8_t> frame,
+                                          std::uint32_t magic) {
+  Reader r(frame);
+  if (r.u32() != magic) return std::nullopt;
+  if (r.u8() != kProtocolVersion) return std::nullopt;
+  const std::uint8_t tag = r.u8();
+  if (!r.ok()) return std::nullopt;
+  return tag;
 }
 
 }  // namespace p4p::proto

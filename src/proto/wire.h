@@ -5,16 +5,25 @@
 // are what matters, not the wire syntax). Writer appends; Reader consumes
 // with explicit error state — decoding never reads past the buffer and
 // never throws on malformed input.
+//
+// The sealed-frame envelope below wraps every frame that must survive
+// corruption on its own (federation, telemetry, UDP validation):
+//   u32 magic | u8 kProtocolVersion | u8 tag | payload | u32 FNV-1a
+// where the trailing checksum covers every byte before it.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace p4p::proto {
+
+/// Version byte carried by every portal message and every sealed frame.
+inline constexpr std::uint8_t kProtocolVersion = 1;
 
 class Writer {
  public:
@@ -77,5 +86,55 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// FNV-1a (32-bit) over `bytes` — the integrity check that seals every
+/// federation, telemetry and validation frame. UDP's 16-bit checksum (or a
+/// test's bit flip) lets corruption through that this catches.
+std::uint32_t FrameChecksum(std::span<const std::uint8_t> bytes);
+
+/// Incremental FNV-1a (same constants as FrameChecksum) for digesting
+/// structured data without materializing one contiguous buffer. Integers
+/// are fed big-endian, exactly as Writer lays them out.
+class Fnv1a {
+ public:
+  void bytes(std::span<const std::uint8_t> data) {
+    for (const std::uint8_t b : data) hash_ = (hash_ ^ b) * 16777619u;
+  }
+  void u32(std::uint32_t v) {
+    const std::uint8_t buf[4] = {
+        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+    bytes(buf);
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v >> 32));
+    u32(static_cast<std::uint32_t>(v));
+  }
+  /// Length-prefixed (u32), so adjacent variable-size fields cannot alias.
+  void blob(std::span<const std::uint8_t> data) {
+    u32(static_cast<std::uint32_t>(data.size()));
+    bytes(data);
+  }
+  std::uint32_t digest() const { return hash_; }
+
+ private:
+  std::uint32_t hash_ = 2166136261u;
+};
+
+/// Starts a sealed frame in an empty writer: reserves room for the header,
+/// `payload_bytes` of payload and the checksum, then writes the header.
+void BeginSealedFrame(Writer& w, std::uint32_t magic, std::uint8_t tag,
+                      std::size_t payload_bytes);
+/// Appends the checksum over everything written so far and returns the
+/// finished frame.
+std::vector<std::uint8_t> SealFrame(Writer& w);
+/// Verifies the checksum, magic, protocol version and `tag`; returns the
+/// payload between header and checksum, or std::nullopt.
+std::optional<std::span<const std::uint8_t>> OpenSealedFrame(
+    std::span<const std::uint8_t> frame, std::uint32_t magic, std::uint8_t tag);
+/// The tag of a frame whose magic and protocol version match, without
+/// verifying the checksum (routing only; decoding still opens the frame).
+std::optional<std::uint8_t> PeekSealedTag(std::span<const std::uint8_t> frame,
+                                          std::uint32_t magic);
 
 }  // namespace p4p::proto

@@ -76,7 +76,6 @@ class Engine {
         alloc_(MakeCapacities(graph, specs)),
         interval_rec_(num_graph_links_, cfg.charging_interval_sec) {
     alloc_.SetDenseCutover(cfg_.maxmin_dense_cutover);
-    alloc_.SetSolverThreads(cfg_.maxmin_solver_threads);
     joined_.assign(num_peers_, 0);
     departed_.assign(num_peers_, 0);
     completed_.assign(num_peers_, 0);

@@ -99,11 +99,6 @@ struct BitTorrentConfig {
   /// incremental allocator, recording both timings for the speedup
   /// metrics (see BitTorrentResult). 0 disables the sampling.
   int maxmin_full_sample_every = 0;
-  /// Worker threads for the incremental allocator's disjoint-component
-  /// solve (1 = inline). Rates are bit-identical at any value, so this is
-  /// outside the determinism contract's inputs; RunSwarms forces it to 1
-  /// when sharding swarms across threads to avoid oversubscription.
-  int maxmin_solver_threads = 1;
   /// Dense-cutover fraction forwarded to IncrementalMaxMin::SetDenseCutover
   /// (0 forces dense, >= 1 disables; results bit-identical either way).
   double maxmin_dense_cutover = 0.5;

@@ -70,33 +70,4 @@ class MaxMinWorkspace {
 std::vector<double> MaxMinFairRates(std::span<const double> capacities,
                                     std::span<const Flow> flows);
 
-/// Incremental allocator used by the simulators: flows are registered once
-/// per step; rates for all flows are produced by allocate().
-class MaxMinAllocator {
- public:
-  explicit MaxMinAllocator(std::vector<double> capacities)
-      : capacities_(std::move(capacities)) {}
-
-  void set_capacity(int link, double capacity_bps) {
-    capacities_.at(static_cast<std::size_t>(link)) = capacity_bps;
-  }
-  double capacity(int link) const { return capacities_.at(static_cast<std::size_t>(link)); }
-  std::size_t num_links() const { return capacities_.size(); }
-
-  /// Rates for the given flows against the configured capacities. Reuses an
-  /// internal workspace across calls (this is invoked every fluid step);
-  /// the returned span stays valid until the next allocate() call.
-  std::span<const double> allocate(std::span<const Flow> flows) {
-    specs_.clear();
-    specs_.reserve(flows.size());
-    for (const Flow& f : flows) specs_.push_back(FlowSpec{f.links, f.rate_cap});
-    return workspace_.Compute(capacities_, specs_);
-  }
-
- private:
-  std::vector<double> capacities_;
-  MaxMinWorkspace workspace_;
-  std::vector<FlowSpec> specs_;
-};
-
 }  // namespace p4p::sim

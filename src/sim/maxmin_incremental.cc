@@ -35,8 +35,8 @@ struct IncrementalMaxMin::DenseMap {
   std::uint32_t count(std::size_t local) const { return self->lf_count_[local]; }
 };
 
-// Component-local numbering through link_local_, filled by the solving
-// thread for exactly this component's links (disjoint across components).
+// Component-local numbering through link_local_, filled for exactly this
+// component's links just before its solve.
 struct IncrementalMaxMin::CompMap {
   const IncrementalMaxMin* self;
   const int* links;  // component's global link ids, ascending
@@ -68,10 +68,7 @@ IncrementalMaxMin::IncrementalMaxMin(std::vector<double> capacities)
   link_stamp_.assign(capacities_.size(), 0);
   link_comp_.assign(capacities_.size(), 0);
   link_local_.assign(capacities_.size(), -1);
-  scratch_.resize(1);
 }
-
-IncrementalMaxMin::~IncrementalMaxMin() { StopPool(); }
 
 void IncrementalMaxMin::MarkLinkDirty(int link) {
   const auto lu = static_cast<std::size_t>(link);
@@ -243,15 +240,6 @@ void IncrementalMaxMin::SetDenseCutover(double fraction) {
   dense_cutover_ = fraction;
 }
 
-void IncrementalMaxMin::SetSolverThreads(int threads,
-                                         std::size_t min_parallel_flows) {
-  threads = std::max(1, threads);
-  if (threads != solver_threads_) StopPool();
-  solver_threads_ = threads;
-  min_parallel_flows_ = min_parallel_flows;
-  scratch_.resize(static_cast<std::size_t>(threads));
-}
-
 bool IncrementalMaxMin::GatherComponents(std::size_t dense_threshold) {
   comp_flows_.clear();
   comp_links_.clear();
@@ -390,8 +378,8 @@ void IncrementalMaxMin::BuildDenseFlowList() {
 
 template <class Map>
 void IncrementalMaxMin::SolveSpan(std::span<const int> flows,
-                                  std::size_t num_real, const Map& map,
-                                  SolveScratch& s) {
+                                  std::size_t num_real, const Map& map) {
+  SolveScratch& s = scratch_;
   const std::size_t num_comp_flows = flows.size();
 
   // Virtual links for rate caps, ordered after the solve's real links and
@@ -497,84 +485,16 @@ void IncrementalMaxMin::SolveSpan(std::span<const int> flows,
   }
 }
 
-void IncrementalMaxMin::SolveOneComponent(const CompRange& c, SolveScratch& s) {
+void IncrementalMaxMin::SolveOneComponent(const CompRange& c) {
   const int* links = comp_links_.data() + c.links_begin;
   const std::size_t num_comp_links = c.links_end - c.links_begin;
-  // The local-id remap is written by the solving thread itself: components
-  // partition the links, so concurrent writes never collide.
   for (std::size_t i = 0; i < num_comp_links; ++i) {
     link_local_[static_cast<std::size_t>(links[i])] = static_cast<int>(i);
   }
   const CompMap map{this, links};
   SolveSpan(std::span<const int>(comp_flows_.data() + c.flows_begin,
                                  c.flows_end - c.flows_begin),
-            num_comp_links, map, s);
-}
-
-void IncrementalMaxMin::DrainComponents(SolveScratch& s) {
-  for (;;) {
-    const std::size_t i = next_comp_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= components_.size()) return;
-    SolveOneComponent(components_[i], s);
-  }
-}
-
-void IncrementalMaxMin::EnsurePool() {
-  const auto want = static_cast<std::size_t>(solver_threads_ - 1);
-  if (pool_.size() == want) return;
-  StopPool();
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    pool_stop_ = false;
-  }
-  pool_.reserve(want);
-  for (std::size_t w = 0; w < want; ++w) {
-    pool_.emplace_back([this, w] { WorkerLoop(w + 1); });
-  }
-}
-
-void IncrementalMaxMin::StopPool() {
-  if (pool_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    pool_stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : pool_) t.join();
-  pool_.clear();
-}
-
-void IncrementalMaxMin::WorkerLoop(std::size_t worker_index) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      work_cv_.wait(lock, [&] { return pool_stop_ || generation_ != seen; });
-      if (pool_stop_) return;
-      seen = generation_;
-    }
-    DrainComponents(scratch_[worker_index]);
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (++workers_done_ == pool_.size()) done_cv_.notify_one();
-    }
-  }
-}
-
-void IncrementalMaxMin::SolveComponentsParallel() {
-  EnsurePool();
-  next_comp_.store(0, std::memory_order_relaxed);
-  {
-    // The generation bump publishes components_/comp_flows_/comp_links_ to
-    // the workers (they re-acquire pool_mu_ before reading).
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    workers_done_ = 0;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  DrainComponents(scratch_[0]);
-  std::unique_lock<std::mutex> lock(pool_mu_);
-  done_cv_.wait(lock, [&] { return workers_done_ == pool_.size(); });
+            num_comp_links, map);
 }
 
 std::span<const double> IncrementalMaxMin::Rates() {
@@ -620,28 +540,19 @@ std::span<const double> IncrementalMaxMin::Rates() {
   const auto gather_ns = NsSince(t0);
 
   const auto t1 = Clock::now();
-  last_parallel_jobs_ = 0;
   if (!incremental) {
     last_path_ = SolvePath::kDense;
     ++dense_solves_;
     last_components_ = comp_flows_.empty() ? 0 : 1;
     if (!comp_flows_.empty()) {
       const DenseMap map{this};
-      SolveSpan(std::span<const int>(comp_flows_), capacities_.size(), map,
-                scratch_[0]);
+      SolveSpan(std::span<const int>(comp_flows_), capacities_.size(), map);
     }
   } else {
     last_path_ = SolvePath::kIncremental;
     ++incremental_solves_;
     last_components_ = components_.size();
-    if (solver_threads_ > 1 && components_.size() > 1 &&
-        comp_flows_.size() >= min_parallel_flows_) {
-      SolveComponentsParallel();
-      ++parallel_passes_;
-      last_parallel_jobs_ = components_.size();
-    } else {
-      for (const CompRange& c : components_) SolveOneComponent(c, scratch_[0]);
-    }
+    for (const CompRange& c : components_) SolveOneComponent(c);
   }
   const auto solve_ns = NsSince(t1);
 

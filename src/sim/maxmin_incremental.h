@@ -1,5 +1,5 @@
 // Incremental max-min fair allocator: O(dirty-component) recomputation,
-// with a regime-adaptive dense cutover and a parallel component solve.
+// with a regime-adaptive dense cutover.
 //
 // MaxMinWorkspace::Compute rebuilds the link-flow adjacency and re-runs
 // progressive filling from scratch every call. The fluid simulators call it
@@ -23,11 +23,9 @@
 //
 //   - Clean: nothing dirty, return cached rates.
 //   - Incremental: BFS-gather each dirty component over the persistent
-//     adjacency and re-solve only those. Disjoint components share no
-//     state, so when more than one is dirty they are solved concurrently
-//     on an internal worker pool (see SetSolverThreads); results are
-//     bit-identical at any thread count because each component's solve is
-//     self-contained and writes only its own flows' rate slots.
+//     adjacency and re-solve only those, one after another. Each
+//     component's solve is self-contained and writes only its own flows'
+//     rate slots.
 //   - Dense: when the gathered dirty set exceeds a tunable fraction of
 //     the live flows (SetDenseCutover), the gather is abandoned and all
 //     live flows are re-solved directly from the persistent slot state —
@@ -53,13 +51,9 @@
 // per-pass clearing), and all recompute scratch is reused across calls.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 namespace p4p::sim {
@@ -67,7 +61,6 @@ namespace p4p::sim {
 class IncrementalMaxMin {
  public:
   explicit IncrementalMaxMin(std::vector<double> capacities);
-  ~IncrementalMaxMin();
 
   IncrementalMaxMin(const IncrementalMaxMin&) = delete;
   IncrementalMaxMin& operator=(const IncrementalMaxMin&) = delete;
@@ -103,14 +96,6 @@ class IncrementalMaxMin {
   void SetDenseCutover(double fraction);
   double dense_cutover() const { return dense_cutover_; }
 
-  /// Solver concurrency: dirty components are independent, so when more
-  /// than one needs re-solving (and their combined flow count reaches
-  /// `min_parallel_flows`) they are distributed over `threads - 1` pooled
-  /// workers plus the calling thread. Rates are bit-identical at any
-  /// thread count. Like the mutators, this must not race with Rates().
-  void SetSolverThreads(int threads, std::size_t min_parallel_flows = 2048);
-  int solver_threads() const { return solver_threads_; }
-
   double capacity(int link) const {
     return capacities_.at(static_cast<std::size_t>(link));
   }
@@ -124,16 +109,13 @@ class IncrementalMaxMin {
   std::uint64_t total_recomputed_flows() const { return total_recomputed_flows_; }
   std::uint64_t recompute_passes() const { return recompute_passes_; }
 
-  /// Which path the last Rates() call took, and how it was executed.
+  /// Which path the last Rates() call took.
   enum class SolvePath { kClean, kIncremental, kDense };
   SolvePath last_path() const { return last_path_; }
   /// Dirty components re-solved by the last recompute pass (1 on dense).
   std::size_t last_components() const { return last_components_; }
-  /// Components handed to the worker pool by the last pass (0 = inline).
-  std::size_t last_parallel_jobs() const { return last_parallel_jobs_; }
   std::uint64_t dense_solves() const { return dense_solves_; }
   std::uint64_t incremental_solves() const { return incremental_solves_; }
-  std::uint64_t parallel_passes() const { return parallel_passes_; }
 
   /// Time attribution (wall clock, excluded from determinism contracts):
   /// the gather phase is dirty-set discovery + canonical ordering (or the
@@ -156,9 +138,7 @@ class IncrementalMaxMin {
   /// local id makes byte-identical pop decisions to tie-breaking on the
   /// global id, without carrying it.
   using HeapEntry = std::pair<double, int>;
-  /// Per-thread progressive-filling scratch; workers own one each so
-  /// concurrent component solves never share mutable state (rate_ and
-  /// link_local_ writes are disjoint by the component partition).
+  /// Progressive-filling scratch, reused across solves.
   struct SolveScratch {
     std::vector<int> flow_local_cap_;  // comp flow idx -> local cap link or -1
     std::vector<double> local_remaining_;
@@ -188,13 +168,8 @@ class IncrementalMaxMin {
   void BuildDenseFlowList();
   template <class Map>
   void SolveSpan(std::span<const int> flows, std::size_t num_real,
-                 const Map& map, SolveScratch& s);
-  void SolveOneComponent(const CompRange& c, SolveScratch& s);
-  void DrainComponents(SolveScratch& s);
-  void SolveComponentsParallel();
-  void EnsurePool();
-  void StopPool();
-  void WorkerLoop(std::size_t worker_index);
+                 const Map& map);
+  void SolveOneComponent(const CompRange& c);
 
   // --- network state ---
   std::vector<double> capacities_;
@@ -237,18 +212,9 @@ class IncrementalMaxMin {
   std::vector<CompRange> components_;
   std::vector<int> link_local_;  // global link -> local index (comp solves)
 
-  // --- solver configuration + worker pool ---
+  // --- solver configuration + scratch ---
   double dense_cutover_ = 0.5;
-  int solver_threads_ = 1;
-  std::size_t min_parallel_flows_ = 2048;
-  std::vector<SolveScratch> scratch_;  // [0] = calling thread
-  std::vector<std::thread> pool_;
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_, done_cv_;
-  std::uint64_t generation_ = 0;   // guarded by pool_mu_
-  std::size_t workers_done_ = 0;   // guarded by pool_mu_
-  bool pool_stop_ = false;         // guarded by pool_mu_
-  std::atomic<std::size_t> next_comp_{0};
+  SolveScratch scratch_;
 
   // --- introspection ---
   std::size_t last_recomputed_flows_ = 0;
@@ -256,10 +222,8 @@ class IncrementalMaxMin {
   std::uint64_t recompute_passes_ = 0;
   SolvePath last_path_ = SolvePath::kClean;
   std::size_t last_components_ = 0;
-  std::size_t last_parallel_jobs_ = 0;
   std::uint64_t dense_solves_ = 0;
   std::uint64_t incremental_solves_ = 0;
-  std::uint64_t parallel_passes_ = 0;
   std::int64_t last_gather_ns_ = 0;
   std::int64_t last_solve_ns_ = 0;
   std::int64_t total_gather_ns_ = 0;

@@ -39,13 +39,7 @@ MultiSwarmResult RunSwarms(const net::Graph& graph, const net::RoutingTable& rou
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
       try {
-        // When swarms are already sharded across threads, nested allocator
-        // pools would oversubscribe the box; force the per-swarm max-min
-        // solve inline. Rates are bit-identical at any thread count, so
-        // this changes nothing observable — only scheduling.
-        BitTorrentConfig config = jobs[i].config;
-        if (workers > 1) config.maxmin_solver_threads = 1;
-        BitTorrentSimulator sim(graph, routing, config);
+        BitTorrentSimulator sim(graph, routing, jobs[i].config);
         if (background) sim.set_background(background);
         auto selector = make_selector(i);
         out.swarms[i] = sim.Run(jobs[i].peers, *selector);

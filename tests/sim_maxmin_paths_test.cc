@@ -1,8 +1,8 @@
-// Solve-path coverage for IncrementalMaxMin: the dense cutover, the
-// incremental component path, and the parallel component solve must all be
-// bit-identical to the MaxMinFairRates oracle and to each other, at any
-// thread count. Every rate comparison here is EXPECT_EQ on doubles — the
-// contract is exact arithmetic replay, not tolerance.
+// Solve-path coverage for IncrementalMaxMin: the dense cutover and the
+// incremental component path must both be bit-identical to the
+// MaxMinFairRates oracle and to each other. Every rate comparison here is
+// EXPECT_EQ on doubles — the contract is exact arithmetic replay, not
+// tolerance.
 #include "sim/maxmin_incremental.h"
 
 #include <gtest/gtest.h>
@@ -85,11 +85,8 @@ void ExpectMatchesOracle(IncrementalMaxMin& inc, const ChurnModel& model) {
 
 /// Runs the shared churn script under one allocator configuration and
 /// returns the dense rate vector snapshot after every oracle checkpoint.
-std::vector<std::vector<double>> RunChurnScript(double cutover, int threads,
-                                                std::uint32_t seed,
-                                                bool check_oracle,
-                                                IncrementalMaxMin* out_probe
-                                                    [[maybe_unused]] = nullptr) {
+std::vector<std::vector<double>> RunChurnScript(double cutover, std::uint32_t seed,
+                                                bool check_oracle) {
   std::mt19937_64 rng(seed);
   ChurnModel model;
   model.capacities.assign(32, 0.0);
@@ -98,7 +95,6 @@ std::vector<std::vector<double>> RunChurnScript(double cutover, int threads,
 
   IncrementalMaxMin inc(model.capacities);
   inc.SetDenseCutover(cutover);
-  inc.SetSolverThreads(threads, /*min_parallel_flows=*/0);
 
   std::vector<std::vector<double>> snapshots;
   for (int step = 0; step < 300; ++step) {
@@ -180,20 +176,18 @@ TEST(MaxMinIncrementalPaths, AdaptivePathSwitchingStaysExact) {
 }
 
 TEST(MaxMinIncrementalPaths, CrossConfigBitIdentical) {
-  // The same churn script under forced-dense, adaptive, forced-incremental,
-  // and 4-thread configurations must produce byte-for-byte equal snapshots.
+  // The same churn script under forced-dense, adaptive and
+  // forced-incremental configurations must produce byte-for-byte equal
+  // snapshots.
   for (std::uint32_t seed : {21u, 22u, 23u}) {
-    const auto base = RunChurnScript(0.5, 1, seed, /*check_oracle=*/true);
-    const auto dense = RunChurnScript(0.0, 1, seed, false);
-    const auto incr = RunChurnScript(2.0, 1, seed, false);
-    const auto threaded = RunChurnScript(2.0, 4, seed, false);
+    const auto base = RunChurnScript(0.5, seed, /*check_oracle=*/true);
+    const auto dense = RunChurnScript(0.0, seed, false);
+    const auto incr = RunChurnScript(2.0, seed, false);
     ASSERT_EQ(base.size(), dense.size());
     ASSERT_EQ(base.size(), incr.size());
-    ASSERT_EQ(base.size(), threaded.size());
     for (std::size_t i = 0; i < base.size(); ++i) {
       EXPECT_EQ(base[i], dense[i]) << "dense diverged at checkpoint " << i;
       EXPECT_EQ(base[i], incr[i]) << "incremental diverged at checkpoint " << i;
-      EXPECT_EQ(base[i], threaded[i]) << "4-thread diverged at checkpoint " << i;
     }
   }
 }
@@ -227,52 +221,41 @@ TEST(MaxMinIncrementalPaths, AttributionCountersAdvanceOnRecompute) {
   EXPECT_EQ(inc.recompute_passes(), 2u);
 }
 
-TEST(MaxMinIncrementalParallel, BitIdenticalAcrossThreadCounts) {
-  // Many disjoint components (one per link pair), solved at 1/2/4 threads
-  // with the parallel floor disabled so the pool actually engages.
+TEST(MaxMinIncrementalPaths, ManyDisjointComponentsMatchOracle) {
+  // Many disjoint components (one per link pair), all re-dirtied at once:
+  // the component path solves each one separately and the union must
+  // equal the oracle's whole-network solve exactly.
   constexpr int kPairs = 64;
-  std::vector<double> capacities;
+  ChurnModel model;
   for (int p = 0; p < kPairs; ++p) {
-    capacities.push_back(10.0 + p);
-    capacities.push_back(4.0 + 0.25 * p);
+    model.capacities.push_back(10.0 + p);
+    model.capacities.push_back(4.0 + 0.25 * p);
   }
-
-  std::vector<std::vector<double>> results;
-  std::size_t jobs_seen = 0;
-  for (int threads : {1, 2, 4}) {
-    IncrementalMaxMin inc(capacities);
-    inc.SetDenseCutover(2.0);  // keep it on the component path
-    inc.SetSolverThreads(threads, /*min_parallel_flows=*/0);
-    std::mt19937_64 rng(77);
-    std::uniform_real_distribution<double> cap_dist(0.2, 6.0);
-    for (int p = 0; p < kPairs; ++p) {
-      const std::vector<int> wide = {2 * p, 2 * p + 1}, narrow = {2 * p};
-      inc.AddFlow(wide);
-      inc.AddFlow(narrow);
-      inc.AddFlow(wide, cap_dist(rng));
-    }
-    (void)inc.Rates();
-    // Re-dirty every component at once so the recompute has kPairs
-    // independent jobs, then pull rates.
-    for (int p = 0; p < kPairs; ++p) inc.SetCapacity(2 * p + 1, cap_dist(rng));
-    const auto rates = inc.Rates();
-    results.emplace_back(rates.begin(), rates.end());
-    EXPECT_EQ(inc.last_components(), static_cast<std::size_t>(kPairs));
-    if (threads > 1) {
-      EXPECT_EQ(inc.last_parallel_jobs(), static_cast<std::size_t>(kPairs))
-          << "pool never engaged at " << threads << " threads";
-      jobs_seen += inc.last_parallel_jobs();
-    } else {
-      EXPECT_EQ(inc.last_parallel_jobs(), 0u);
-    }
+  IncrementalMaxMin inc(model.capacities);
+  inc.SetDenseCutover(2.0);  // keep it on the component path
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> cap_dist(0.2, 6.0);
+  for (int p = 0; p < kPairs; ++p) {
+    const std::vector<int> wide = {2 * p, 2 * p + 1}, narrow = {2 * p};
+    const double cap = cap_dist(rng);
+    model.flows.emplace(inc.AddFlow(wide), Flow{wide, kInf});
+    model.flows.emplace(inc.AddFlow(narrow), Flow{narrow, kInf});
+    model.flows.emplace(inc.AddFlow(wide, cap), Flow{wide, cap});
   }
-  ASSERT_GT(jobs_seen, 0u);
-  EXPECT_EQ(results[0], results[1]) << "2-thread rates diverged from 1-thread";
-  EXPECT_EQ(results[0], results[2]) << "4-thread rates diverged from 1-thread";
+  ExpectMatchesOracle(inc, model);
+  for (int p = 0; p < kPairs; ++p) {
+    const auto l = static_cast<std::size_t>(2 * p + 1);
+    model.capacities[l] = cap_dist(rng);
+    inc.SetCapacity(2 * p + 1, model.capacities[l]);
+  }
+  ExpectMatchesOracle(inc, model);
+  EXPECT_EQ(inc.last_path(), IncrementalMaxMin::SolvePath::kIncremental);
+  EXPECT_EQ(inc.last_components(), static_cast<std::size_t>(kPairs));
 }
 
-TEST(MaxMinIncrementalParallel, ParallelMatchesOracleUnderChurn) {
-  // Fragmented churn with the pool always on: exact oracle parity.
+TEST(MaxMinIncrementalPaths, FragmentedChurnMatchesOracle) {
+  // Forced-incremental churn over a wider, more fragmented network than
+  // IncrementalForcedBitIdenticalToOracle: many small components per pass.
   std::mt19937_64 rng(31);
   ChurnModel model;
   model.capacities.assign(48, 0.0);
@@ -280,33 +263,16 @@ TEST(MaxMinIncrementalParallel, ParallelMatchesOracleUnderChurn) {
   for (double& c : model.capacities) c = cap_dist(rng);
   IncrementalMaxMin inc(model.capacities);
   inc.SetDenseCutover(2.0);
-  inc.SetSolverThreads(4, /*min_parallel_flows=*/0);
+  std::size_t max_components = 0;
   for (int step = 0; step < 300; ++step) {
     ChurnStep(inc, model, rng);
-    if (step % 4 == 0) ExpectMatchesOracle(inc, model);
+    if (step % 4 == 0) {
+      ExpectMatchesOracle(inc, model);
+      max_components = std::max(max_components, inc.last_components());
+    }
   }
-  EXPECT_GT(inc.parallel_passes(), 0u) << "churn never produced a parallel pass";
-}
-
-TEST(MaxMinIncrementalParallel, PoolReconfigureMidStream) {
-  // Shrinking/growing the pool between recomputes keeps rates exact.
-  IncrementalMaxMin inc({10.0, 8.0, 6.0, 4.0});
-  const std::vector<int> a = {0, 1}, b = {2, 3};
-  const int fa = inc.AddFlow(a);
-  inc.AddFlow(b);
-  inc.SetSolverThreads(4, 0);
-  const auto r1 = inc.Rates();
-  const std::vector<double> snap1(r1.begin(), r1.end());
-  inc.SetSolverThreads(2, 0);
-  inc.SetRateCap(fa, 3.0);
-  inc.SetCapacity(3, 5.0);
-  (void)inc.Rates();
-  inc.SetSolverThreads(1, 0);
-  inc.SetRateCap(fa, kInf);
-  inc.SetCapacity(3, 4.0);
-  const auto r3 = inc.Rates();
-  const std::vector<double> snap3(r3.begin(), r3.end());
-  EXPECT_EQ(snap1, snap3) << "round-trip through pool reconfigs changed rates";
+  EXPECT_EQ(inc.dense_solves(), 0u);
+  EXPECT_GT(max_components, 1u) << "churn never dirtied two components at once";
 }
 
 }  // namespace
