@@ -77,6 +77,12 @@ struct SynthCase {
   int metros;
 };
 
+// Without a printer gtest dumps the raw bytes, pointer included, into the
+// "# GetParam() = ..." part of the test name, so the name changed per build.
+void PrintTo(const SynthCase& c, std::ostream* os) {
+  *os << c.name << " pops=" << c.pops << " metros=" << c.metros;
+}
+
 class SynthTopologyTest : public ::testing::TestWithParam<SynthCase> {};
 
 TEST_P(SynthTopologyTest, HasRequestedPopCount) {
