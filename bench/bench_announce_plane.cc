@@ -286,7 +286,7 @@ int main() {
   }
   const double span_ns = SecondsSince(span_t0) * 1e9 / span_calls;
   std::printf("  bucket path: %.0f ns/announce (swarm of %d)\n", sel_ns, max_swarm);
-  std::printf("  span path  : %.0f ns/announce (%.1fx slower: full-swarm partition)\n",
+  std::printf("  span path  : %.0f ns/announce (%.1fx slower: indexes the whole swarm)\n",
               span_ns, span_ns / sel_ns);
 
   bench::PrintComparisons({

@@ -1,5 +1,5 @@
 // Peer-selection policies: the three appTracker variants the paper
-// evaluates, plus the black-box wrapper of Section 4.
+// evaluates.
 //
 //  * NativeRandomSelector  — "the native BitTorrent appTracker chooses
 //                            peers randomly".
@@ -10,13 +10,12 @@
 //                            per-AS iTracker p-distances, with 1/p_ij
 //                            weighting, the concave robustness transform,
 //                            and optional Pando-style matching weights.
-//  * BlackBoxSelector      — runs an inner selector several times and keeps
-//                            the candidate set with the lowest total
-//                            p-distance ("Black-box Peer Selection").
+//
+// Native and P4P each have one selection algorithm, SelectFromBuckets; their
+// span entry points index the candidates into a bucket store and run it.
 #pragma once
 
 #include <map>
-#include <memory>
 
 #include "core/itracker.h"
 #include "core/matching.h"
@@ -51,6 +50,7 @@ class SelectionWorkspace {
 
 class NativeRandomSelector final : public sim::PeerSelector {
  public:
+  /// Indexes `candidates` into a bucket store and runs SelectFromBuckets.
   std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
                                        std::span<const sim::PeerInfo> candidates,
                                        int m, std::mt19937_64& rng) override;
@@ -125,6 +125,7 @@ class P4PSelector final : public sim::PeerSelector {
                           std::vector<std::vector<double>> weights);
   void ClearMatchingWeights(std::int32_t as_number);
 
+  /// Indexes `candidates` into a bucket store and runs SelectFromBuckets.
   std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
                                        std::span<const sim::PeerInfo> candidates,
                                        int m, std::mt19937_64& rng) override;
@@ -149,24 +150,6 @@ class P4PSelector final : public sim::PeerSelector {
   P4PSelectorConfig config_;
   std::map<std::int32_t, const ITracker*> trackers_;
   std::map<std::int32_t, std::vector<std::vector<double>>> matching_weights_;
-};
-
-class BlackBoxSelector final : public sim::PeerSelector {
- public:
-  /// Runs `inner` `attempts` times and keeps the set minimizing the total
-  /// p-distance from the client under `tracker`.
-  BlackBoxSelector(std::unique_ptr<sim::PeerSelector> inner, const ITracker& tracker,
-                   int attempts = 4);
-
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override;
-  std::string name() const override;
-
- private:
-  std::unique_ptr<sim::PeerSelector> inner_;
-  const ITracker& tracker_;
-  int attempts_;
 };
 
 }  // namespace p4p::core

@@ -18,8 +18,8 @@ namespace p4p::sim {
 std::vector<PeerId> PeerSelector::SelectFromBuckets(const PeerInfo& client,
                                                     const PeerBuckets& swarm,
                                                     int m, std::mt19937_64& rng) {
-  // Compatibility shim: flatten into a per-thread scratch buffer and run the
-  // span-based policy. Index-aware selectors override this.
+  // Bridge for span-only policies: flatten into a per-thread scratch buffer
+  // and run SelectPeers. Index-aware selectors override this.
   thread_local std::vector<PeerInfo> scratch;
   swarm.Flatten(scratch);
   return SelectPeers(client, scratch, m, rng);

@@ -48,9 +48,11 @@ class PeerSelector {
   /// PeerBuckets swarm store without requiring a flat candidate array. The
   /// client may or may not already be a member of `swarm`; implementations
   /// must never return it. The default implementation flattens the store
-  /// into a per-thread scratch buffer and delegates to SelectPeers — a
-  /// compatibility shim; index-aware selectors (P4P, native random)
-  /// override this to sample directly from the per-PID/per-AS buckets.
+  /// into a per-thread scratch buffer and delegates to SelectPeers; it is
+  /// the bridge for the span-only policies (delay-localized, trackerless)
+  /// inside the simulators. P4P and native random override this with their
+  /// one selection algorithm, sampling directly from the per-PID/per-AS
+  /// buckets, and their SelectPeers runs it on a store built from the span.
   virtual std::vector<PeerId> SelectFromBuckets(const PeerInfo& client,
                                                 const PeerBuckets& swarm,
                                                 int m, std::mt19937_64& rng);

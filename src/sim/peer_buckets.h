@@ -75,8 +75,9 @@ class PeerBuckets {
   /// Ids of every bucket belonging to `as_number` (possibly empty buckets).
   std::span<const std::uint32_t> AsGroup(std::int32_t as_number) const;
 
-  /// Flattens every member into `out` (cleared first) — the compatibility
-  /// bridge to the span-based PeerSelector path.
+  /// Flattens every member into `out` (cleared first) — the bridge that
+  /// lets span-only policies (delay-localized, trackerless) select from a
+  /// bucket store through PeerSelector's default SelectFromBuckets.
   void Flatten(std::vector<PeerInfo>& out) const;
 
  private:

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sim/peer_buckets.h"
+
 namespace p4p::sim {
 
 namespace {
@@ -104,16 +106,18 @@ StreamingResult StreamingSimulator::Run(std::span<const PeerSpec> peer_specs,
         peers[p].spec.down_bps;
   }
 
-  // Static neighborhoods: everyone joins up front in the Figure 9 setup.
-  std::vector<PeerInfo> candidates;
+  // Static neighborhoods: everyone joins up front in the Figure 9 setup, so
+  // one bucket store indexes the whole swarm for every peer's selection.
+  std::vector<PeerInfo> infos;
+  PeerBuckets swarm;
   for (std::size_t i = 0; i < num_peers; ++i) {
-    candidates.push_back(PeerInfo{static_cast<PeerId>(i), peers[i].spec.node,
-                                  peers[i].spec.as_number, peers[i].spec.up_bps,
-                                  peers[i].spec.down_bps, peers[i].source});
+    infos.push_back(PeerInfo{static_cast<PeerId>(i), peers[i].spec.node,
+                             peers[i].spec.as_number, peers[i].spec.up_bps,
+                             peers[i].spec.down_bps, peers[i].source});
+    swarm.Insert(infos.back());
   }
   for (std::size_t i = 0; i < num_peers; ++i) {
-    PeerInfo self = candidates[i];
-    auto chosen = selector.SelectPeers(self, candidates, config_.max_neighbors, rng);
+    auto chosen = selector.SelectFromBuckets(infos[i], swarm, config_.max_neighbors, rng);
     for (PeerId q : chosen) {
       if (q == static_cast<PeerId>(i)) continue;
       auto& ni = peers[i].neighbors;

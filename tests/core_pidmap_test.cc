@@ -166,7 +166,9 @@ TEST(PidMap, RandomizedAgainstLinearScan) {
     }
     const auto got = map.lookup(ip);
     ASSERT_EQ(got.has_value(), expected.has_value()) << ip;
-    if (got) EXPECT_EQ(got->pid, expected->pid) << ip;
+    if (got) {
+      EXPECT_EQ(got->pid, expected->pid) << ip;
+    }
   }
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "net/topology.h"
+#include "support/span_p4p_oracle.h"
 
 namespace p4p::core {
 namespace {
@@ -233,48 +235,10 @@ TEST_F(SelectorsTest, P4PNeverReturnsSelfOrDuplicates) {
   }
 }
 
-TEST_F(SelectorsTest, BlackBoxPicksCheaperSetThanInnerOnAverage) {
-  ITracker tracker(graph_, routing_);
-  auto inner = std::make_unique<NativeRandomSelector>();
-  BlackBoxSelector bb(std::move(inner), tracker, 6);
-  NativeRandomSelector plain;
-
-  std::vector<std::pair<net::NodeId, std::int32_t>> placements;
-  placements.push_back({net::kNewYork, 1});
-  for (int i = 0; i < 10; ++i) placements.push_back({net::kWashingtonDC, 1});
-  for (int i = 0; i < 10; ++i) placements.push_back({net::kSeattle, 1});
-  auto candidates = MakeCandidates(placements);
-
-  auto cost_of = [&](const std::vector<sim::PeerId>& set) {
-    double c = 0.0;
-    for (sim::PeerId id : set) {
-      c += tracker.pdistance(net::kNewYork, candidates[static_cast<std::size_t>(id)].node);
-    }
-    return c;
-  };
-  double bb_cost = 0.0;
-  double plain_cost = 0.0;
-  for (int trial = 0; trial < 40; ++trial) {
-    bb_cost += cost_of(bb.SelectPeers(candidates[0], candidates, 5, rng_));
-    plain_cost += cost_of(plain.SelectPeers(candidates[0], candidates, 5, rng_));
-  }
-  EXPECT_LT(bb_cost, plain_cost);
-}
-
-TEST_F(SelectorsTest, BlackBoxValidation) {
-  ITracker tracker(graph_, routing_);
-  EXPECT_THROW(BlackBoxSelector(nullptr, tracker, 3), std::invalid_argument);
-  EXPECT_THROW(BlackBoxSelector(std::make_unique<NativeRandomSelector>(), tracker, 0),
-               std::invalid_argument);
-}
-
 TEST_F(SelectorsTest, SelectorNames) {
   EXPECT_EQ(NativeRandomSelector().name(), "Native");
   EXPECT_EQ(DelayLocalizedSelector(routing_).name(), "Localized");
   EXPECT_EQ(P4PSelector().name(), "P4P");
-  ITracker tracker(graph_, routing_);
-  BlackBoxSelector bb(std::make_unique<NativeRandomSelector>(), tracker, 2);
-  EXPECT_EQ(bb.name(), "BlackBox(Native)");
 }
 
 TEST_F(SelectorsTest, LocalizedSubsetLimitsVisibility) {
@@ -345,10 +309,12 @@ TEST_F(SelectorsTest, P4PZeroDistanceWeightScalesWithPriceMagnitude) {
 
 // --- bucket-aware selection (SelectFromBuckets) ------------------------------
 //
-// The index-driven path must be a drop-in replacement for the span path:
-// same invariants (distinctness, never the client, full sets when the swarm
-// allows), same stage quotas, and the same locality preferences — checked
-// against the flat candidate array as the oracle.
+// SelectFromBuckets is the one selection algorithm of Native and P4P; the
+// span entry points above run it through a bucket store built from the
+// span. These tests pin its invariants (distinctness, never the client,
+// full sets when the swarm allows) and stage quotas directly, and its
+// locality preferences against the removal-based span oracle in
+// tests/support.
 
 sim::PeerBuckets MakeStore(std::span<const sim::PeerInfo> candidates) {
   sim::PeerBuckets store;
@@ -419,44 +385,122 @@ TEST_F(SelectorsTest, BucketP4PRespectsIntraPidBound) {
   }
 }
 
+// One parity case: a static price vector (links on `expensive_path` cost
+// `expensive_price`, every other link `base_price`), optional matching
+// weights, a candidate layout and the wanted set size. Candidate 0 is the
+// client.
+struct ParityCase {
+  const char* name;
+  P4PSelectorConfig config;
+  double base_price;
+  std::pair<net::NodeId, net::NodeId> expensive_path;
+  double expensive_price;
+  std::vector<std::pair<net::NodeId, net::NodeId>> matching;  // (i, j) -> 1.0
+  std::vector<std::tuple<net::NodeId, std::int32_t, int>> groups;  // node, AS, count
+  int m;
+};
+
 TEST_F(SelectorsTest, BucketP4PMatchesSpanPathPreferences) {
-  // Same expensive-toward-Seattle setup as the span test; the bucket path
-  // must show the same preference ordering at comparable rates.
-  ITrackerConfig tcfg;
-  tcfg.mode = PriceMode::kStatic;
-  ITracker tracker(graph_, routing_, tcfg);
-  std::vector<double> prices(graph_.link_count(), 0.01);
-  for (net::LinkId e : routing_.path(net::kNewYork, net::kSeattle)) {
-    prices[static_cast<std::size_t>(e)] = 10.0;
-  }
-  tracker.SetStaticPrices(prices);
+  // The production selector must draw from the same distribution as the
+  // removal-based span oracle: per (AS, PID) group, the share of picks
+  // agrees within 0.02 over 2000 selections per path (observed gaps are
+  // below 0.005). Each PoP hosts at most one other AS: the oracle pools
+  // other-AS peers by PID, while the selector weights each (AS, PID)
+  // bucket, so the two differ when several other ASes share a PoP.
+  P4PSelectorConfig streaming;
+  streaming.concave_gamma = 1.0;
+  const std::vector<ParityCase> cases = {
+      // 1/p_ij weighting: everything toward Seattle is expensive.
+      {"PreferLowDistance", {}, 0.01, {net::kNewYork, net::kSeattle}, 10.0, {},
+       {{net::kNewYork, 1, 1}, {net::kWashingtonDC, 1, 20}, {net::kSeattle, 1, 20}},
+       10},
+      // Matching weights name only Chicago, which runs dry: the backfill must
+      // fall back to 1/p weighting over the rest of the AS.
+      {"MatchingWeightsWithFallback", {}, 0.01, {net::kNewYork, net::kDenver}, 5.0,
+       {{net::kNewYork, net::kChicago}},
+       {{net::kNewYork, 1, 4},
+        {net::kChicago, 1, 2},
+        {net::kAtlanta, 1, 15},
+        {net::kDenver, 1, 10}},
+       10},
+      // The client AS is nearly empty: stage 3 fills the set from AS 2.
+      {"InterAsFill", streaming, 0.01, {net::kNewYork, net::kHouston}, 2.0, {},
+       {{net::kNewYork, 1, 2},
+        {net::kChicago, 1, 1},
+        {net::kAtlanta, 2, 10},
+        {net::kSeattle, 2, 10},
+        {net::kHouston, 2, 10}},
+       10},
+      // Only the path to DC is priced (at 1e-12): zero-distance Chicago must
+      // be weighted relative to that price, not by a fixed constant.
+      {"ZeroDistanceWeighting", {}, 0.0, {net::kNewYork, net::kWashingtonDC}, 1e-12, {},
+       {{net::kNewYork, 1, 1}, {net::kWashingtonDC, 1, 20}, {net::kChicago, 1, 20}},
+       8},
+  };
+  constexpr int kTrials = 2000;
 
-  P4PSelector sel;
-  sel.RegisterITracker(1, &tracker);
-  std::vector<std::pair<net::NodeId, std::int32_t>> placements;
-  placements.push_back({net::kNewYork, 1});  // client
-  for (int i = 0; i < 20; ++i) placements.push_back({net::kWashingtonDC, 1});
-  for (int i = 0; i < 20; ++i) placements.push_back({net::kSeattle, 1});
-  auto candidates = MakeCandidates(placements);
-  const auto store = MakeStore(candidates);
-
-  int span_dc = 0, span_sea = 0, bucket_dc = 0, bucket_sea = 0;
-  for (int trial = 0; trial < 50; ++trial) {
-    for (sim::PeerId id : sel.SelectPeers(candidates[0], candidates, 10, rng_)) {
-      const auto node = candidates[static_cast<std::size_t>(id)].node;
-      span_dc += node == net::kWashingtonDC;
-      span_sea += node == net::kSeattle;
+  for (const ParityCase& pc : cases) {
+    SCOPED_TRACE(pc.name);
+    ITrackerConfig tcfg;
+    tcfg.mode = PriceMode::kStatic;
+    ITracker tracker(graph_, routing_, tcfg);
+    std::vector<double> prices(graph_.link_count(), pc.base_price);
+    for (net::LinkId e : routing_.path(pc.expensive_path.first, pc.expensive_path.second)) {
+      prices[static_cast<std::size_t>(e)] = pc.expensive_price;
     }
-    for (sim::PeerId id : sel.SelectFromBuckets(candidates[0], store, 10, rng_)) {
-      const auto node = candidates[static_cast<std::size_t>(id)].node;
-      bucket_dc += node == net::kWashingtonDC;
-      bucket_sea += node == net::kSeattle;
+    tracker.SetStaticPrices(prices);
+
+    P4PSelector sel(pc.config);
+    sel.RegisterITracker(1, &tracker);
+    std::vector<std::vector<double>> weights;
+    if (!pc.matching.empty()) {
+      weights.assign(graph_.node_count(), std::vector<double>(graph_.node_count(), 0.0));
+      for (const auto& [i, j] : pc.matching) {
+        weights[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = 1.0;
+      }
+      sel.SetMatchingWeights(1, weights);
+    }
+
+    std::vector<std::pair<net::NodeId, std::int32_t>> placements;
+    for (const auto& [node, as, count] : pc.groups) {
+      for (int i = 0; i < count; ++i) placements.push_back({node, as});
+    }
+    auto candidates = MakeCandidates(placements);
+    const auto store = MakeStore(candidates);
+
+    // Picks per (AS, PID) group, indexed like pc.groups.
+    const auto group_of = [&](sim::PeerId id) {
+      const auto& c = candidates[static_cast<std::size_t>(id)];
+      for (std::size_t g = 0; g < pc.groups.size(); ++g) {
+        if (std::get<0>(pc.groups[g]) == c.node && std::get<1>(pc.groups[g]) == c.as_number) {
+          return g;
+        }
+      }
+      ADD_FAILURE() << "candidate outside every group";
+      return std::size_t{0};
+    };
+    std::vector<double> oracle_picks(pc.groups.size(), 0.0);
+    std::vector<double> bucket_picks(pc.groups.size(), 0.0);
+    double oracle_total = 0.0;
+    double bucket_total = 0.0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      for (sim::PeerId id : testsupport::SpanP4POracle(
+               pc.config, &tracker, weights.empty() ? nullptr : &weights, candidates[0],
+               candidates, pc.m, rng_)) {
+        ++oracle_picks[group_of(id)];
+        ++oracle_total;
+      }
+      for (sim::PeerId id : sel.SelectFromBuckets(candidates[0], store, pc.m, rng_)) {
+        ++bucket_picks[group_of(id)];
+        ++bucket_total;
+      }
+    }
+    EXPECT_EQ(bucket_total, oracle_total);  // both always fill the set
+    for (std::size_t g = 0; g < pc.groups.size(); ++g) {
+      SCOPED_TRACE(::testing::Message() << "group " << g);
+      EXPECT_NEAR(bucket_picks[g] / bucket_total, oracle_picks[g] / oracle_total, 0.02);
     }
   }
-  EXPECT_GT(bucket_dc, 2 * bucket_sea);  // same shape as the span assertion
-  // Rates agree between paths within a loose statistical band.
-  EXPECT_NEAR(static_cast<double>(bucket_dc) / (bucket_dc + bucket_sea),
-              static_cast<double>(span_dc) / (span_dc + span_sea), 0.15);
 }
 
 TEST_F(SelectorsTest, BucketP4PInterAsStageFillsRemainder) {
@@ -541,6 +585,32 @@ TEST_F(SelectorsTest, BucketP4PHandlesNonMemberClient) {
   joiner.as_number = 1;
   const auto chosen = sel.SelectFromBuckets(joiner, store, 3, rng_);
   EXPECT_EQ(chosen.size(), 3u);
+}
+
+TEST_F(SelectorsTest, SpanEntryRunsBucketPath) {
+  // One algorithm per policy: under equal seeds, the span entry point and
+  // SelectFromBuckets on a store built in span order return the same ids.
+  ITracker tracker(graph_, routing_);
+  P4PSelector p4p;
+  p4p.RegisterITracker(1, &tracker);
+  NativeRandomSelector native;
+  std::vector<std::pair<net::NodeId, std::int32_t>> placements;
+  for (int i = 0; i < 40; ++i) {
+    placements.push_back({static_cast<net::NodeId>(i % 11), i % 3 == 0 ? 2 : 1});
+  }
+  auto candidates = MakeCandidates(placements);
+  const auto store = MakeStore(candidates);
+  for (sim::PeerSelector* sel : {static_cast<sim::PeerSelector*>(&p4p),
+                                 static_cast<sim::PeerSelector*>(&native)}) {
+    SCOPED_TRACE(sel->name());
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      const auto& client = candidates[seed % candidates.size()];
+      std::mt19937_64 span_rng(seed);
+      std::mt19937_64 bucket_rng(seed);
+      EXPECT_EQ(sel->SelectPeers(client, candidates, 12, span_rng),
+                sel->SelectFromBuckets(client, store, 12, bucket_rng));
+    }
+  }
 }
 
 TEST_F(SelectorsTest, DefaultBucketShimDelegatesToSpanPath) {
