@@ -89,6 +89,8 @@ int main() {
   bench::PrintSubHeader("2) Fill throughput (4 announce threads, want=20)");
   constexpr int kThreads = 4;
   constexpr std::size_t kShards = 64;
+  // Wall-clock announce scaling gate over kThreads disjoint-swarm threads.
+  constexpr double kWallScalingGate = 2.5;
   auto app = MakeTracker(itracker, pid_map, kShards);
   // Per-swarm member logs for the churn phase, owned per thread.
   std::vector<std::vector<std::vector<sim::PeerId>>> members(kThreads);
@@ -154,9 +156,7 @@ int main() {
   const double rate_1t = run_batch(*app1, 1, "scale-");
   // The 4-thread wall measurement only means something when the host can
   // actually run the threads concurrently; on a 1-core box it measures the
-  // scheduler, not the tracker, and a sub-1x "scaling" number would read
-  // as a regression. Skip it there and report the isolated-shard aggregate
-  // (below) as the honest concurrency figure.
+  // scheduler, not the tracker, so it is skipped there.
   double rate_4t = 0.0;
   double scaling = 0.0;
   if (hw > 1) {
@@ -164,9 +164,9 @@ int main() {
     rate_4t = run_batch(*app4, kThreads, "scale-");
     scaling = rate_4t / rate_1t;
   }
-  // Per-shard independence measured without scheduler interference: four
-  // quarter-workloads against isolated trackers, rates summed (the honest
-  // aggregate on boxes with fewer cores than announce threads).
+  // Diagnostic only: four quarter-workloads against isolated trackers, run
+  // one after another and their rates summed. Nothing is shared between the
+  // runs, so this sum cannot show contention and never decides a verdict.
   double agg_isolated = 0.0;
   for (int q = 0; q < kThreads; ++q) {
     auto appq = MakeTracker(itracker, pid_map, kShards);
@@ -195,7 +195,8 @@ int main() {
     std::printf("  %d threads: skipped (1 hw thread — wall scaling unmeasurable)\n",
                 kThreads);
   }
-  std::printf("  isolated shard aggregate: %.0f announces/s (%.2fx over 1 thread)\n",
+  std::printf("  diagnostic: isolated shard aggregate %.0f announces/s (%.2fx over 1 "
+              "thread, runs in sequence, no contention)\n",
               agg_isolated, shard_scaling);
 
   // ---- churn: steady-state announce/depart mix ----
@@ -297,12 +298,12 @@ int main() {
       {"selection cost vs swarm size", "index-driven (no full-swarm scan)",
        bench::Fmt("%.0f ns vs %.0f ns span path", sel_ns, span_ns),
        sel_ns * 4 < span_ns},
-      {"disjoint-swarm shard independence", ">= 3x across 4 shards",
-       hw > 1 ? bench::Fmt("%.2fx isolated aggregate (%.2fx wall)", shard_scaling,
-                           scaling)
-              : bench::Fmt("%.2fx isolated aggregate (wall skipped: 1 hw thread)",
-                           shard_scaling),
-       shard_scaling >= 3.0},
+      // Judged on wall time only, and only where 4 threads can run at once.
+      {"disjoint-swarm shard independence",
+       bench::Fmt(">= %.1fx wall, %d threads", kWallScalingGate, kThreads),
+       hw > 1 ? bench::Fmt("%.2fx wall on %u hw threads", scaling, hw)
+              : std::string("wall skipped: 1 hw thread"),
+       scaling >= kWallScalingGate, hw < static_cast<unsigned>(kThreads)},
   });
 
   // Wall-clock thread-scaling keys are only emitted when the host could

@@ -37,7 +37,7 @@ void PrintComparisons(const std::vector<Comparison>& rows) {
   std::printf("%s\n", std::string(110, '-').c_str());
   for (const auto& r : rows) {
     std::printf("%-44s | %-26s | %-26s | %s\n", r.metric.c_str(), r.paper.c_str(),
-                r.measured.c_str(), r.ok ? "OK" : "DIFFERS");
+                r.measured.c_str(), r.skipped ? "skipped" : r.ok ? "OK" : "DIFFERS");
   }
 }
 

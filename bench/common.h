@@ -35,11 +35,13 @@ void PrintHeader(const std::string& title);
 void PrintSubHeader(const std::string& title);
 
 /// One PAPER-vs-MEASURED line; `ok` marks whether the measured shape agrees.
+/// A `skipped` row could not be judged on this host and prints "skipped".
 struct Comparison {
   std::string metric;
   std::string paper;
   std::string measured;
   bool ok = true;
+  bool skipped = false;
 };
 void PrintComparisons(const std::vector<Comparison>& rows);
 

@@ -128,8 +128,10 @@ class AppTracker {
   std::unique_ptr<sim::PeerSelector> selector_;
   PidMap pid_map_;
   std::vector<Shard> shards_;
-  std::atomic<sim::PeerId> next_id_{0};
-  ViewProbe view_probe_;
+  // Written by every announce: alone on its cache line, so the id counter
+  // does not false-share with the read-mostly members around it.
+  alignas(64) std::atomic<sim::PeerId> next_id_{0};
+  alignas(64) ViewProbe view_probe_;
   NativeRandomSelector native_fallback_;
   std::atomic<bool> degraded_{false};
   std::atomic<std::size_t> degraded_announces_{0};

@@ -147,7 +147,9 @@ class ITracker {
   std::shared_ptr<const PriceSnapshot> snapshot() const;
   /// p-distance between two PIDs, including BDP distance terms, interdomain
   /// duals, and privacy perturbation. Throws std::runtime_error when j is
-  /// unreachable from i.
+  /// unreachable from i. Each call loads the snapshot (an atomic shared_ptr
+  /// load plus a refcount round trip), so a loop over many pairs should take
+  /// snapshot() once and read its view, as P4PSelector does.
   double pdistance(Pid i, Pid j) const;
   /// One row of the external view (distances from `i` to every PID).
   /// Unreachable destinations carry +infinity.

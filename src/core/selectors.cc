@@ -183,6 +183,22 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
   const ITracker& tracker = *tracker_it->second;
   const Pid my_pid = client.node;  // PoP-level aggregation: PID == node id
 
+  // One snapshot load per selection: every stage reads the client's row of
+  // the same price version instead of paying a load per pdistance() call.
+  const auto snap = tracker.snapshot();
+  std::span<const double> my_row;
+  if (my_pid >= 0 && my_pid < snap->view.size()) my_row = snap->view.row(my_pid);
+  // ITracker::pdistance(my_pid, j), read from the row. Invalid PIDs and +inf
+  // entries go through pdistance() itself, so the errors stay exactly its
+  // own (std::out_of_range; std::runtime_error for an unreachable pair);
+  // when it does not throw, the row's +inf is the answer.
+  const auto pdist = [&](Pid j) {
+    const auto col = static_cast<std::size_t>(j);
+    if (j >= 0 && col < my_row.size() && std::isfinite(my_row[col])) return my_row[col];
+    (void)tracker.pdistance(my_pid, j);
+    return my_row[col];
+  };
+
   const auto& buckets = swarm.buckets();
   const auto client_slot = swarm.SlotOf(client.id);
   const std::uint32_t client_bucket =
@@ -211,9 +227,9 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
     double min_outside = std::numeric_limits<double>::infinity();
     for (std::uint32_t b : same_as) {
       if (b == my_bucket || avail(b) <= 0) continue;
-      min_outside = std::min(min_outside, tracker.pdistance(my_pid, buckets[b].pid));
+      min_outside = std::min(min_outside, pdist(buckets[b].pid));
     }
-    if (std::isfinite(min_outside) && tracker.pdistance(my_pid, my_pid) > min_outside) {
+    if (std::isfinite(min_outside) && pdist(my_pid) > min_outside) {
       intra_bound *= 0.5;
     }
   }
@@ -253,9 +269,12 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
     if (ws.entry_bucket_.empty()) return;
     // Zero-distance PIDs are weighted relative to the smallest positive
     // distance so they always dominate, regardless of the dual price scale.
+    // Each entry's distance is read once, here, and reused by the weights.
+    ws.entry_pdist_.clear();
     double min_positive = std::numeric_limits<double>::infinity();
     for (std::uint32_t b : ws.entry_bucket_) {
-      const double p = tracker.pdistance(my_pid, buckets[b].pid);
+      const double p = pdist(buckets[b].pid);
+      ws.entry_pdist_.push_back(p);
       if (p > 0) min_positive = std::min(min_positive, p);
     }
     const double zero_weight = std::isfinite(min_positive)
@@ -275,7 +294,7 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
             pid < static_cast<Pid>((*match_w)[static_cast<std::size_t>(my_pid)].size())) {
           w = (*match_w)[static_cast<std::size_t>(my_pid)][static_cast<std::size_t>(pid)];
         } else {
-          const double p = tracker.pdistance(my_pid, pid);
+          const double p = ws.entry_pdist_[i];
           w = p > 0 ? 1.0 / p : zero_weight;
         }
         ws.entry_weight_[i] = w > 0 ? w : 0.0;

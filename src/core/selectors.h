@@ -42,6 +42,7 @@ class SelectionWorkspace {
   friend class P4PSelector;
   std::vector<int> take_;                   // per-bucket take count this call
   std::vector<std::uint32_t> entry_bucket_; // candidate buckets, current stage
+  std::vector<double> entry_pdist_;         // p-distance per entry, gathered once
   std::vector<double> entry_weight_;
   std::vector<int> entry_avail_;            // remaining candidates per entry
   std::vector<std::uint64_t> picks_;        // Floyd-sampling scratch
@@ -138,7 +139,9 @@ class P4PSelector final : public sim::PeerSelector {
                                              int m, std::mt19937_64& rng) override;
 
   /// Same as SelectFromBuckets but against an explicit workspace (one
-  /// workspace serves one caller at a time).
+  /// workspace serves one caller at a time). Loads the client AS tracker's
+  /// snapshot once, so every stage of one selection prices candidates from
+  /// the same price version.
   std::vector<sim::PeerId> SelectWithWorkspace(const sim::PeerInfo& client,
                                                const sim::PeerBuckets& swarm,
                                                int m, std::mt19937_64& rng,

@@ -1,8 +1,10 @@
 // Concurrency hammer for the sharded announce plane. Runs under TSan in CI:
 // 8 threads mixing announces, departures, and fallback flips against one
 // AppTracker must produce no data races, no torn accounting, and exact
-// transition counts.
+// transition counts; P4P selection must stay valid while the iTracker it
+// reads is repriced concurrently.
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <string>
@@ -12,6 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "core/apptracker.h"
+#include "core/itracker.h"
+#include "net/routing.h"
+#include "net/topology.h"
 
 namespace p4p::core {
 namespace {
@@ -118,6 +123,76 @@ TEST(AppTrackerConcurrency, AnnounceDepartFallbackFlipHammer) {
   EXPECT_GE(falls, 1u);
   EXPECT_LE(falls > recoveries ? falls - recoveries : recoveries - falls, 1u);
   EXPECT_GE(tracker.degraded_announce_count(), 1u);
+}
+
+TEST(AppTrackerConcurrency, P4PSelectionWhileITrackerReprices) {
+  // Four announce threads select through P4PSelector on disjoint swarms
+  // while a fifth thread keeps repricing the iTracker they all read, so
+  // selections race snapshot rebuilds.
+  constexpr int kThreads = 4;
+  constexpr int kOps = 300;
+  constexpr int kWant = 8;
+  const net::Graph graph = net::MakeAbilene();
+  const net::RoutingTable routing(graph);
+  ITracker itracker(graph, routing);
+  auto selector = std::make_unique<P4PSelector>();
+  selector->RegisterITracker(1, &itracker);
+  selector->RegisterITracker(2, &itracker);
+  PidMap map;
+  for (int pid = 0; pid < static_cast<int>(graph.node_count()); ++pid) {
+    map.add(*Prefix::Parse("10." + std::to_string(pid) + ".0.0/16"), {pid, 1});
+    map.add(*Prefix::Parse("20." + std::to_string(pid) + ".0.0/16"), {pid, 2});
+  }
+  AppTracker tracker(std::move(selector), std::move(map), 5, 16);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> updates{0};
+  std::thread repricer([&] {
+    std::vector<double> load(graph.link_count(), 0.0);
+    for (int i = 0; !done.load(); ++i) {
+      for (std::size_t e = 0; e < load.size(); ++e) {
+        load[e] = 1e8 * static_cast<double>((i + static_cast<int>(e)) % 7);
+      }
+      itracker.Update(load);
+      updates.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(t) + 41);
+      AnnounceRequest req;
+      req.content_id = "p4p-" + std::to_string(t);
+      req.want = kWant;
+      std::set<sim::PeerId> members;  // this thread owns the swarm
+      for (int i = 0; i < kOps; ++i) {
+        if (!members.empty() && rng() % 10 < 3) {
+          const auto victim = std::next(members.begin(),
+                                        static_cast<long>(rng() % members.size()));
+          EXPECT_TRUE(tracker.Depart(req.content_id, *victim));
+          members.erase(victim);
+          continue;
+        }
+        req.client_ip = std::string(rng() % 2 ? "10." : "20.") +
+                        std::to_string(rng() % graph.node_count()) + ".0." +
+                        std::to_string(rng() % 250 + 1);
+        const auto resp = tracker.Announce(req);
+        const std::set<sim::PeerId> unique(resp.peers.begin(), resp.peers.end());
+        EXPECT_EQ(unique.size(), resp.peers.size());
+        EXPECT_LE(resp.peers.size(), static_cast<std::size_t>(kWant));
+        EXPECT_EQ(unique.count(resp.assigned_id), 0u);
+        for (sim::PeerId p : resp.peers) EXPECT_EQ(members.count(p), 1u);
+        members.insert(resp.assigned_id);
+      }
+      EXPECT_EQ(tracker.swarm_size(req.content_id), members.size());
+    });
+  }
+  for (auto& th : threads) th.join();
+  done.store(true);
+  repricer.join();
+  EXPECT_GE(updates.load(), 1);
 }
 
 TEST(AppTrackerConcurrency, ConcurrentDepartsNeverDoubleCount) {

@@ -29,6 +29,16 @@ TEST(PDistanceMatrix, BoundsChecked) {
   EXPECT_THROW(m.set(2, 0, 1.0), std::out_of_range);
 }
 
+TEST(PDistanceMatrix, RowViewsOneSourcePid) {
+  PDistanceMatrix m(3);
+  for (Pid j = 0; j < 3; ++j) m.set(1, j, 10.0 + j);
+  const auto row = m.row(1);
+  ASSERT_EQ(row.size(), 3u);
+  for (Pid j = 0; j < 3; ++j) EXPECT_EQ(row[static_cast<std::size_t>(j)], m.at(1, j));
+  EXPECT_THROW(m.row(-1), std::out_of_range);
+  EXPECT_THROW(m.row(3), std::out_of_range);
+}
+
 TEST(PDistanceMatrix, RejectsNegativeSize) {
   EXPECT_THROW(PDistanceMatrix(-1), std::invalid_argument);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <tuple>
 
@@ -610,6 +611,146 @@ TEST_F(SelectorsTest, SpanEntryRunsBucketPath) {
       EXPECT_EQ(sel->SelectPeers(client, candidates, 12, span_rng),
                 sel->SelectFromBuckets(client, store, 12, bucket_rng));
     }
+  }
+}
+
+// Known-answer case: a fixed three-AS swarm under fixed prices and seeds.
+struct KnownAnswerCase {
+  const char* name;
+  P4PSelectorConfig config;
+  double base_price;  // every link; the NY->DC path costs 0.5 on top
+  bool matching;      // AS 1 matching weights name only NY->Chicago
+  std::vector<std::tuple<net::NodeId, std::int32_t, int>> groups;  // node, AS, count
+  sim::PeerInfo client;
+  int m;
+  std::uint64_t seed;
+  std::vector<sim::PeerId> expected;
+};
+
+sim::PeerInfo Joiner(sim::PeerId id, net::NodeId node, std::int32_t as) {
+  sim::PeerInfo p;
+  p.id = id;
+  p.node = node;
+  p.as_number = as;
+  return p;
+}
+
+TEST_F(SelectorsTest, BucketP4PKnownAnswer) {
+  // Pins the exact ids the selection draws, so a change to how it reads
+  // prices must keep every RNG draw and every floating-point step. Peer ids
+  // follow `groups` in order, so id 0 is the first NY peer of AS 1.
+  const std::vector<std::tuple<net::NodeId, std::int32_t, int>> three_as = {
+      {net::kNewYork, 1, 5},  {net::kChicago, 1, 4},    {net::kWashingtonDC, 1, 3},
+      {net::kSeattle, 1, 3},  {net::kNewYork, 2, 3},    {net::kDenver, 2, 4},
+      {net::kLosAngeles, 2, 3}, {net::kHouston, 3, 4},  {net::kAtlanta, 3, 3},
+      {net::kKansasCity, 3, 2}};
+  P4PSelectorConfig linear;
+  linear.concave_gamma = 1.0;
+  const std::vector<KnownAnswerCase> cases = {
+      // The client's own bucket holds four other peers.
+      {"MemberClient", {}, 0.01, false, three_as, Joiner(0, net::kNewYork, 1), 12, 7,
+       {12, 32, 1, 4, 3, 2, 6, 8, 13, 14, 33, 17}},
+      {"MemberClientOtherSeed", {}, 0.01, false, three_as, Joiner(0, net::kNewYork, 1),
+       12, 8, {16, 6, 2, 12, 15, 1, 4, 7, 14, 21, 3, 13}},
+      // Not yet a member: the announce plane selects before inserting.
+      {"NonMemberClient", {}, 0.01, false, three_as, Joiner(999, net::kHouston, 3), 12, 7,
+       {28, 32, 1, 25, 24, 23, 26, 27, 29, 30, 33, 31}},
+      // Zero-distance PIDs, linear weights and matching weights with fallback.
+      {"ZeroPricesWithMatching", linear, 0.0, true, three_as,
+       Joiner(0, net::kNewYork, 1), 15, 7,
+       {18, 15, 21, 32, 6, 16, 2, 4, 5, 8, 7, 33, 3, 1, 17}},
+      // Mostly the client's own PID: the uniform backfill runs.
+      {"UniformBackfill", {}, 0.01, false, {{net::kNewYork, 1, 10}, {net::kChicago, 2, 1}},
+       Joiner(0, net::kNewYork, 1), 8, 7, {6, 7, 1, 8, 5, 9, 10, 3}},
+  };
+  for (const KnownAnswerCase& kc : cases) {
+    SCOPED_TRACE(kc.name);
+    ITrackerConfig tcfg;
+    tcfg.mode = PriceMode::kStatic;
+    ITracker tracker(graph_, routing_, tcfg);
+    std::vector<double> prices(graph_.link_count(), kc.base_price);
+    for (net::LinkId e : routing_.path(net::kNewYork, net::kWashingtonDC)) {
+      prices[static_cast<std::size_t>(e)] += 0.5;
+    }
+    tracker.SetStaticPrices(prices);
+    P4PSelector sel(kc.config);
+    for (std::int32_t as : {1, 2, 3}) sel.RegisterITracker(as, &tracker);
+    if (kc.matching) {
+      std::vector<std::vector<double>> weights(
+          graph_.node_count(), std::vector<double>(graph_.node_count(), 0.0));
+      weights[net::kNewYork][net::kChicago] = 1.0;
+      sel.SetMatchingWeights(1, weights);
+    }
+    std::vector<std::pair<net::NodeId, std::int32_t>> placements;
+    for (const auto& [node, as, count] : kc.groups) {
+      for (int i = 0; i < count; ++i) placements.push_back({node, as});
+    }
+    const auto candidates = MakeCandidates(placements);
+    const auto store = MakeStore(candidates);
+    std::mt19937_64 rng(kc.seed);
+    const auto got = sel.SelectFromBuckets(kc.client, store, kc.m, rng);
+    EXPECT_EQ(got, kc.expected) << ::testing::PrintToString(got);
+  }
+}
+
+TEST_F(SelectorsTest, BucketP4PRejectsOutOfRangePids) {
+  ITracker tracker(graph_, routing_);
+  P4PSelector sel;
+  sel.RegisterITracker(1, &tracker);
+  const auto candidates = MakeCandidates({{net::kNewYork, 1}, {net::kChicago, 1}});
+  const auto store = MakeStore(candidates);
+  // Client PID beyond the tracker's 11 PIDs.
+  EXPECT_THROW(sel.SelectFromBuckets(Joiner(99, 50, 1), store, 2, rng_),
+               std::out_of_range);
+  // A candidate bucket at a PID beyond the tracker's range.
+  const auto stray = MakeCandidates({{net::kNewYork, 1}, {50, 1}});
+  EXPECT_THROW(sel.SelectFromBuckets(stray[0], MakeStore(stray), 1, rng_),
+               std::out_of_range);
+}
+
+TEST_F(SelectorsTest, BucketP4PRejectsUnreachableCandidatePid) {
+  // PIDs 0 and 1 are linked; PID 2 is an island. The view stores +inf for
+  // 0 -> 2, and selection must raise the tracker's unreachable error.
+  net::Graph graph("split");
+  for (int i = 0; i < 3; ++i) graph.add_node("n" + std::to_string(i));
+  graph.add_duplex_link(0, 1, 1e9);
+  const net::RoutingTable routing(graph);
+  ITracker tracker(graph, routing);
+  P4PSelector sel;
+  sel.RegisterITracker(1, &tracker);
+  const auto candidates = MakeCandidates({{0, 1}, {1, 1}, {2, 1}});
+  const auto store = MakeStore(candidates);
+  try {
+    (void)sel.SelectFromBuckets(candidates[0], store, 2, rng_);
+    ADD_FAILURE() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "ITracker: PID 2 unreachable from 0");
+  }
+}
+
+TEST_F(SelectorsTest, BucketP4PInfinitelyPricedPidIsNotUnreachable) {
+  // Both PIDs are reachable from PID 0, but the path to PID 2 is priced at
+  // +inf: that is a zero weight, not an error.
+  net::Graph graph("star");
+  for (int i = 0; i < 3; ++i) graph.add_node("n" + std::to_string(i));
+  const net::LinkId to_1 = graph.add_duplex_link(0, 1, 1e9);
+  const net::LinkId to_2 = graph.add_duplex_link(0, 2, 1e9);
+  const net::RoutingTable routing(graph);
+  ITrackerConfig tcfg;
+  tcfg.mode = PriceMode::kStatic;
+  ITracker tracker(graph, routing, tcfg);
+  std::vector<double> prices(graph.link_count(), 1.0);
+  prices[static_cast<std::size_t>(to_2)] = std::numeric_limits<double>::infinity();
+  tracker.SetStaticPrices(prices);
+  ASSERT_EQ(tracker.pdistance(0, 2), std::numeric_limits<double>::infinity());
+  ASSERT_EQ(tracker.pdistance(0, 1), prices[static_cast<std::size_t>(to_1)]);
+  P4PSelector sel;
+  sel.RegisterITracker(1, &tracker);
+  const auto candidates = MakeCandidates({{0, 1}, {1, 1}, {1, 1}, {2, 1}, {2, 1}});
+  const auto chosen = sel.SelectFromBuckets(candidates[0], MakeStore(candidates), 4, rng_);
+  EXPECT_EQ(chosen.size(), 2u);
+  for (sim::PeerId id : chosen) {
+    EXPECT_EQ(candidates[static_cast<std::size_t>(id)].node, 1);
   }
 }
 
