@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the performance-critical pieces:
 // the LP solver, the super-gradient price update + simplex projection, the
 // longest-prefix-match PID map, the max-min fair allocator, routing-table
-// construction, and the wire codec.
+// construction, the wire codec and the portal's view encode.
 //
 // After the google-benchmark suite, main() runs a hand-rolled timing pass
 // over the flattened-path / memoization fast paths and writes the results
@@ -255,6 +255,32 @@ void BM_MessageCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageCodec)->Arg(52)->Arg(1024);
 
+/// The 144-PID synthetic topology the portal_mix workload serves (one view
+/// frame is ~166 KB).
+net::Graph MakePortalGraph() {
+  net::SynthConfig synth;
+  synth.name = "bench-portal";
+  synth.num_pops = 144;
+  synth.num_metros = 12;
+  return net::MakeSynthTopology(synth);
+}
+
+/// One GetExternalViewResp encode straight from a price snapshot, the
+/// once-per-version cost of the portal's response cache.
+void BM_EncodeExternalView(benchmark::State& state) {
+  const net::Graph graph = MakePortalGraph();
+  const net::RoutingTable routing(graph);
+  core::ITracker tracker(graph, routing);
+  const auto snap = tracker.snapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(proto::EncodeExternalViewFrame(
+        snap->view.size(), snap->version, snap->view.values()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(snap->view.values().size()) * 8);
+}
+BENCHMARK(BM_EncodeExternalView);
+
 void BM_EmbeddingFit(benchmark::State& state) {
   const net::Graph graph = net::MakeIspB();
   const net::RoutingTable routing(graph);
@@ -370,6 +396,17 @@ void WriteMicroJson() {
     benchmark::DoNotOptimize(ws.Compute(caps, flows));
   });
 
+  // Portal view encode at 144 PIDs (see BM_EncodeExternalView).
+  const net::Graph portal_graph = MakePortalGraph();
+  const net::RoutingTable portal_routing(portal_graph);
+  const core::ITracker portal_tracker(portal_graph, portal_routing);
+  const auto portal_snap = portal_tracker.snapshot();
+  const int encode_iters = 400;
+  const double encode_sec = SecondsFor(encode_iters, [&] {
+    benchmark::DoNotOptimize(proto::EncodeExternalViewFrame(
+        portal_snap->view.size(), portal_snap->version, portal_snap->view.values()));
+  });
+
   bench::WriteBenchJson(
       "BENCH_micro.json",
       {
@@ -381,6 +418,7 @@ void WriteMicroJson() {
           {"external_view_memoized_ns", view_cached_sec / view_iters * 1e9},
           {"external_view_memoization_speedup", view_uncached_sec / view_cached_sec},
           {"maxmin_1000flows_ns_per_round", mm_sec / mm_iters * 1e9},
+          {"encode_external_view_144_ns", encode_sec / encode_iters * 1e9},
       });
 }
 

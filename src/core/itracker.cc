@@ -27,6 +27,50 @@ ITracker::ITracker(const net::Graph& graph, const net::RoutingTable& routing,
       config_.privacy_noise < 0 || config_.privacy_noise >= 1.0) {
     throw std::invalid_argument("ITracker: bad config");
   }
+  // Routes from one source form a shortest-path tree: the route to j is the
+  // route to j's parent followed by the last link. Ordering each source's
+  // destinations by hop count (a counting sort) puts every parent before its
+  // children, so BuildViewLocked sums each pair in O(1) from its parent's
+  // total.
+  const int n = num_pids();
+  const auto un = static_cast<std::size_t>(n);
+  route_offsets_.assign(un + 1, 0);
+  route_steps_.reserve(un * un);
+  std::vector<std::size_t> hops(un);
+  std::vector<net::LinkId> last(un);
+  std::vector<std::size_t> slot(un + 1);
+  for (Pid i = 0; i < n; ++i) {
+    std::fill(slot.begin(), slot.end(), 0);
+    for (std::size_t j = 0; j < un; ++j) {
+      // Empty exactly for j == i and for unreachable j.
+      const auto path = routing_.path_view(i, static_cast<Pid>(j));
+      hops[j] = path.size();
+      if (!path.empty()) last[j] = path.back();
+      ++slot[hops[j]];
+    }
+    // slot[h] becomes the position of the first h-hop destination.
+    std::size_t next = route_steps_.size();
+    for (std::size_t h = 1; h <= un; ++h) {
+      const std::size_t count = slot[h];
+      slot[h] = next;
+      next += count;
+    }
+    route_steps_.resize(next);
+    for (std::size_t j = 0; j < un; ++j) {
+      const std::size_t h = hops[j];
+      if (h == 0) continue;
+      const Pid parent = graph_.link(last[j]).src;
+      // RoutingTable builds every route by walking one predecessor tree, so
+      // the parent's route is this route's prefix. Its hop count is checked
+      // because the order above relies on it: a parent must be summed
+      // before its children read it.
+      if (hops[static_cast<std::size_t>(parent)] + 1 != h) {
+        throw std::logic_error("ITracker: routes do not form a shortest-path tree");
+      }
+      route_steps_[slot[h]++] = RouteStep{static_cast<Pid>(j), parent, last[j]};
+    }
+    route_offsets_[static_cast<std::size_t>(i) + 1] = next;
+  }
   prices_.assign(graph_.link_count(), 0.0);
   background_.assign(graph_.link_count(), 0.0);
   peak_background_.assign(graph_.link_count(), 0.0);
@@ -293,7 +337,7 @@ PDistanceMatrix ITracker::BuildViewLocked() const {
   const int n = num_pids();
   // Per-link revealed cost: congestion dual, plus the BDP distance term and
   // the interdomain dual where applicable. Folding these into one vector
-  // turns every pair into a plain sum over its path_view span.
+  // makes every pair's distance a plain sum of link costs along its route.
   std::vector<double> link_cost(prices_);
   if (config_.objective == IspObjective::kBandwidthDistanceProduct) {
     for (std::size_t e = 0; e < link_cost.size(); ++e) {
@@ -304,23 +348,28 @@ PDistanceMatrix ITracker::BuildViewLocked() const {
     link_cost[static_cast<std::size_t>(link)] += state.price;
   }
 
-  PDistanceMatrix m(n);
+  // Each row is one pass down the source's tree: total(i,j) =
+  // total(i, parent) + link_cost[last link] adds the path's links in the
+  // same left-to-right order as summing the path from 0.0, so every total
+  // is bit-identical to the per-path sum. Perturbation reads the finished
+  // unperturbed totals in a second pass.
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<double> values(un * un, std::numeric_limits<double>::infinity());
   for (Pid i = 0; i < n; ++i) {
-    for (Pid j = 0; j < n; ++j) {
-      if (i == j) {
-        m.set(i, j, config_.intra_pid_distance);
-      } else if (!routing_.reachable(i, j)) {
-        m.set(i, j, std::numeric_limits<double>::infinity());
-      } else {
-        double total = 0.0;
-        for (net::LinkId e : routing_.path_view(i, j)) {
-          total += link_cost[static_cast<std::size_t>(e)];
-        }
-        m.set(i, j, perturb(i, j, total));
-      }
+    double* row = values.data() + static_cast<std::size_t>(i) * un;
+    const std::span<const RouteStep> steps(
+        route_steps_.data() + route_offsets_[static_cast<std::size_t>(i)],
+        route_steps_.data() + route_offsets_[static_cast<std::size_t>(i) + 1]);
+    row[i] = 0.0;
+    for (const RouteStep& s : steps) {
+      row[s.dst] = row[s.parent] + link_cost[static_cast<std::size_t>(s.link)];
     }
+    if (config_.privacy_noise > 0.0) {
+      for (const RouteStep& s : steps) row[s.dst] = perturb(i, s.dst, row[s.dst]);
+    }
+    row[i] = config_.intra_pid_distance;
   }
-  return m;
+  return PDistanceMatrix(n, std::move(values));
 }
 
 std::shared_ptr<const PriceSnapshot> ITracker::snapshot() const {

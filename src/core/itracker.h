@@ -182,11 +182,17 @@ class ITracker {
   /// as any mutator. Returns the version now current.
   std::uint64_t AdvanceVersionTo(std::uint64_t version);
 
+  /// The privacy perturbation of the revealed distance `value` of the pair
+  /// (i, j): a consistent per-pair skew of up to +-privacy_noise, the
+  /// identity when privacy_noise is 0. Applied to every reachable
+  /// off-diagonal pair of the external view.
+  double perturb(Pid i, Pid j, double value) const;
+
  private:
   double price_unit() const;
-  double perturb(Pid i, Pid j, double value) const;
-  /// Builds the p-distance mesh from the current priced state. Caller must
-  /// hold mu_.
+  /// Builds the p-distance mesh from the current priced state in O(n^2):
+  /// one pass per source down its shortest-path tree. Caller must hold
+  /// mu_.
   PDistanceMatrix BuildViewLocked() const;
   /// Bumps the version after a mutation and returns the bumped value, so
   /// the caller can hand its own mutation's version to the listeners
@@ -209,6 +215,18 @@ class ITracker {
   const net::Graph& graph_;
   const net::RoutingTable& routing_;
   ITrackerConfig config_;
+  /// One step down a source's shortest-path tree: the route to `dst` is the
+  /// route to `parent` followed by `link`.
+  struct RouteStep {
+    Pid dst;
+    Pid parent;
+    net::LinkId link;
+  };
+  /// Every source's reachable destinations in hop order (a parent before
+  /// its children), steps route_offsets_[i] .. route_offsets_[i+1] for
+  /// source i. Fixed at construction: the routing table is immutable.
+  std::vector<RouteStep> route_steps_;
+  std::vector<std::size_t> route_offsets_;
   std::vector<double> prices_;      // intradomain duals p_e
   std::vector<double> background_;  // b_e (bps)
   std::vector<double> peak_background_;

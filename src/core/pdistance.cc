@@ -15,6 +15,17 @@ PDistanceMatrix::PDistanceMatrix(int num_pids, double initial)
   }
 }
 
+PDistanceMatrix::PDistanceMatrix(int num_pids, std::vector<double> values)
+    : n_(num_pids), values_(std::move(values)) {
+  if (num_pids < 0) {
+    throw std::invalid_argument("PDistanceMatrix: negative size");
+  }
+  if (values_.size() !=
+      static_cast<std::size_t>(num_pids) * static_cast<std::size_t>(num_pids)) {
+    throw std::invalid_argument("PDistanceMatrix: values size is not num_pids^2");
+  }
+}
+
 void PDistanceMatrix::check(Pid i, Pid j) const {
   if (i < 0 || j < 0 || i >= n_ || j >= n_) {
     throw std::out_of_range("PDistanceMatrix: PID out of range");

@@ -15,6 +15,9 @@ namespace p4p::core {
 class PDistanceMatrix {
  public:
   explicit PDistanceMatrix(int num_pids, double initial = 0.0);
+  /// Adopts row-major `values` (entry (i,j) at index i*n+j) without a
+  /// copy. Throws std::invalid_argument unless values.size() == n*n.
+  PDistanceMatrix(int num_pids, std::vector<double> values);
 
   double at(Pid i, Pid j) const;
   void set(Pid i, Pid j, double value);

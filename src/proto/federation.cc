@@ -255,14 +255,8 @@ bool ReplicatedSnapshotStore::Install(SnapshotFrameSet frames) {
 
 namespace {
 
-// Byte layout facts about EncodeBody the delta splice depends on: both
-// GetExternalViewResp and GetPDistancesResp are
-//   [0..1] header | [2..5] i32 (num_pids / from) | [6..13] u64 version |
-//   [14..17] u32 count | [18..] doubles as big-endian u64
-// so row i of the external view occupies bytes [18 + i*n*8, 18 + (i+1)*n*8).
-constexpr std::size_t kDistanceFrameDoublesOffset = 18;
-constexpr std::size_t kDistanceFrameVersionOffset = 6;
-
+/// Overwrites the u64 version embedded in a p-distance frame (layout in
+/// messages.h).
 void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version) {
   for (int i = 0; i < 8; ++i) {
     frame[kDistanceFrameVersionOffset + static_cast<std::size_t>(i)] =
@@ -310,6 +304,8 @@ ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
   next->view_version = delta.view_version;
   next->not_modified = delta.not_modified;
   next->policy = delta.policy;
+  // Each changed row frame's doubles are byte-identical to row i of the
+  // view frame (messages.h), so they are copied back in place.
   for (const auto& row : delta.rows) {
     const auto i = static_cast<std::size_t>(row.pid);
     if (row.bytes.size() !=
@@ -794,18 +790,18 @@ std::size_t SnapshotPublisher::follower_count() const {
 
 void SnapshotPublisher::RefreshLocked() {
   const std::uint64_t version = service_->price_version();
-  if (frames_ && push_frame_ && encoded_version_ == version) return;
-  // One export+encode per version regardless of follower count;
-  // ExportFrames reads the service's already-encoded response cache. The
-  // per-base delta cache is valid only for one target version, so it drops
-  // here too.
+  if (frames_ && encoded_version_ == version) return;
+  // One export per version regardless of follower count; ExportFrames reads
+  // the service's already-encoded response cache. The full push frame and
+  // the per-base delta cache are valid only for one target version, so they
+  // drop here too; the full frame is re-encoded only when a follower needs
+  // it (FullFrameLocked).
   auto exported = service_->ExportFrames();
   // ExportFrames is term-agnostic; the publisher stamps its term here, so
   // the frames, their checksum, and every delta derived from them carry it.
   exported.term = term_.load(std::memory_order_relaxed);
   frames_ = std::make_shared<const SnapshotFrameSet>(std::move(exported));
-  push_frame_ = std::make_shared<const std::vector<std::uint8_t>>(
-      EncodeFramePush(*frames_));
+  push_frame_.reset();
   delta_cache_.clear();
   encoded_version_ = version;
   if (options_.directory != nullptr) {
@@ -816,15 +812,16 @@ void SnapshotPublisher::RefreshLocked() {
   }
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>>
-SnapshotPublisher::CurrentPushFrameLocked() {
-  RefreshLocked();
+std::shared_ptr<const std::vector<std::uint8_t>> SnapshotPublisher::FullFrameLocked() {
+  if (!push_frame_) {
+    push_frame_ = std::make_shared<const std::vector<std::uint8_t>>(
+        EncodeFramePush(*frames_));
+  }
   return push_frame_;
 }
 
 std::shared_ptr<const std::vector<std::uint8_t>>
 SnapshotPublisher::DeltaFrameLocked(std::uint64_t base) {
-  RefreshLocked();
   if (base == 0 || base >= encoded_version_) return nullptr;
   if (const auto it = delta_cache_.find(base); it != delta_cache_.end()) {
     return it->second;
@@ -860,7 +857,7 @@ std::size_t SnapshotPublisher::PublishOnce() {
   // followers now. The coordinator notices fenced() and demotes.
   if (fenced_.load(std::memory_order_acquire)) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto frame = CurrentPushFrameLocked();
+  RefreshLocked();
   const std::uint64_t version = encoded_version_;
   std::size_t confirmed = 0;
   for (auto& follower : followers_) {
@@ -868,14 +865,13 @@ std::size_t SnapshotPublisher::PublishOnce() {
       ++confirmed;
       continue;
     }
-    auto wire = frame;
+    std::shared_ptr<const std::vector<std::uint8_t>> wire;
     bool is_delta = false;
     if (options_.enable_delta && !follower.needs_full) {
-      if (const auto delta = DeltaFrameLocked(follower.acked_version)) {
-        wire = delta;
-        is_delta = true;
-      }
+      wire = DeltaFrameLocked(follower.acked_version);
+      is_delta = wire != nullptr;
     }
+    if (!is_delta) wire = FullFrameLocked();
     ++pushes_;
     if (is_delta) {
       ++delta_frames_sent_;
@@ -894,9 +890,10 @@ std::size_t SnapshotPublisher::PublishOnce() {
         follower.needs_full = true;
         ++delta_fallbacks_;
         ++pushes_;
+        const auto full = FullFrameLocked();
         ++full_frames_sent_;
-        full_bytes_sent_ += frame->size();
-        response = follower.channel->Call(*frame);
+        full_bytes_sent_ += full->size();
+        response = follower.channel->Call(*full);
         ack = DecodeFrameAck(response);
       }
       if (ack && ack->status == AckStatus::kStaleTerm) {
@@ -952,7 +949,7 @@ std::vector<std::uint8_t> SnapshotPublisher::HandleReplication(
         FrameAck{AckStatus::kRejected, service_->price_version(), own_term});
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const auto frame = CurrentPushFrameLocked();
+  RefreshLocked();
   if (std::pair(pull->have_term, pull->have_version) >=
       std::pair(own_term, encoded_version_)) {
     return EncodeFrameAck(
@@ -968,6 +965,7 @@ std::vector<std::uint8_t> SnapshotPublisher::HandleReplication(
       return *delta;
     }
   }
+  const auto frame = FullFrameLocked();
   ++full_frames_sent_;
   full_bytes_sent_ += frame->size();
   return *frame;

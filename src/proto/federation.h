@@ -466,10 +466,11 @@ struct PublisherOptions {
   std::uint64_t term = 0;
 };
 
-/// The publisher's replication half, layered on an ITrackerService: encodes
-/// the current version's frames into one push frame (cached per version —
-/// republishing to N followers encodes once) and pushes it to every
-/// follower lagging the current version. Followers with an acked base get a
+/// The publisher's replication half, layered on an ITrackerService: pushes
+/// the current version's frames to every follower lagging the current
+/// version. The full push frame is encoded at most once per version, and
+/// only when some follower needs it (no acked base, a fallback, a pull);
+/// republishing to N followers encodes once. Followers with an acked base get a
 /// kDeltaPush carrying only the rows stamped newer than that base; a delta
 /// the follower cannot apply is answered kNeedFullSet and retried with the
 /// full set in the same round. Also answers follower pulls, with a delta
@@ -556,14 +557,19 @@ class SnapshotPublisher {
     bool needs_full = false;
   };
 
-  /// Refreshes frames_/push_frame_ for the service's current version,
-  /// re-encoding only when the version moved since the last call (which
-  /// also drops the per-base delta cache). Caller must hold mu_.
+  /// Refreshes frames_ for the service's current version, re-exporting
+  /// only when the version moved since the last call (which also drops the
+  /// full push frame and the per-base delta cache). Caller must hold mu_.
   void RefreshLocked();
-  std::shared_ptr<const std::vector<std::uint8_t>> CurrentPushFrameLocked();
-  /// Encoded delta from `base` to the current version, cached per base.
+  /// The full kFramePush of frames_, encoded on first use per version: a
+  /// publisher whose followers all take deltas never pays the full-set
+  /// encode and its checksum. Caller must hold mu_ and have called
+  /// RefreshLocked, so one publish round or pull answer sees one version.
+  std::shared_ptr<const std::vector<std::uint8_t>> FullFrameLocked();
+  /// Encoded delta from `base` to frames_' version, cached per base.
   /// Null when a delta is impossible or unprofitable (base 0, base not
-  /// older than current, or every row changed). Caller must hold mu_.
+  /// older than current, or every row changed). Same caller contract as
+  /// FullFrameLocked.
   std::shared_ptr<const std::vector<std::uint8_t>> DeltaFrameLocked(std::uint64_t base);
 
   const ITrackerService* service_;
@@ -578,6 +584,7 @@ class SnapshotPublisher {
   std::uint64_t encoded_version_ = 0;
   /// The current version's exported frame set (delta source material).
   std::shared_ptr<const SnapshotFrameSet> frames_;
+  /// Full push frame for encoded_version_; null until a follower needs it.
   std::shared_ptr<const std::vector<std::uint8_t>> push_frame_;
   /// base version -> encoded kDeltaPush, valid for encoded_version_ only.
   std::map<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>> delta_cache_;

@@ -1,5 +1,7 @@
 #include "proto/messages.h"
 
+#include <stdexcept>
+
 namespace p4p::proto {
 
 namespace {
@@ -245,6 +247,62 @@ std::vector<std::uint8_t> Encode(const Message& message) {
   w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(TypeOf(message)));
   std::visit([&w](const auto& m) { EncodeBody(m, w); }, message);
+  return w.take();
+}
+
+namespace {
+
+/// Writes a p-distance frame header into an empty writer, reserving the
+/// whole frame (header + `count` doubles) up front.
+void BeginDistanceFrame(Writer& w, MsgType type, std::int32_t id,
+                        std::uint64_t version, std::size_t count) {
+  w.reserve(kDistanceFrameDoublesOffset + count * sizeof(double));
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.i32(id);
+  w.u64(version);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> EncodeExternalViewFrame(std::int32_t num_pids,
+                                                  std::uint64_t version,
+                                                  std::span<const double> distances) {
+  if (num_pids < 0 ||
+      distances.size() !=
+          static_cast<std::size_t>(num_pids) * static_cast<std::size_t>(num_pids)) {
+    throw std::invalid_argument("EncodeExternalViewFrame: size mismatch");
+  }
+  Writer w;
+  BeginDistanceFrame(w, MsgType::kGetExternalViewResp, num_pids, version,
+                     distances.size());
+  w.f64_vec(distances);
+  return w.take();
+}
+
+std::vector<std::uint8_t> SpliceRowFrame(std::span<const std::uint8_t> view_frame,
+                                         core::Pid from, std::uint64_t version) {
+  Reader header(view_frame);
+  const std::uint8_t protocol = header.u8();
+  const std::uint8_t type = header.u8();
+  const std::int32_t n = header.i32();
+  if (!header.ok() || protocol != kProtocolVersion ||
+      type != static_cast<std::uint8_t>(MsgType::kGetExternalViewResp) || n < 0 ||
+      view_frame.size() != kDistanceFrameDoublesOffset +
+                               static_cast<std::size_t>(n) *
+                                   static_cast<std::size_t>(n) * sizeof(double)) {
+    throw std::invalid_argument("SpliceRowFrame: not a well-sized view frame");
+  }
+  if (from < 0 || from >= n) {
+    throw std::invalid_argument("SpliceRowFrame: PID out of range");
+  }
+  const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(double);
+  Writer w;
+  BeginDistanceFrame(w, MsgType::kGetPDistancesResp, from, version,
+                     static_cast<std::size_t>(n));
+  w.u32(static_cast<std::uint32_t>(n));
+  w.raw(view_frame.subspan(
+      kDistanceFrameDoublesOffset + static_cast<std::size_t>(from) * row_bytes, row_bytes));
   return w.take();
 }
 

@@ -117,6 +117,42 @@ std::optional<Message> Decode(std::span<const std::uint8_t> bytes);
 
 MsgType TypeOf(const Message& message);
 
+// --- p-distance frame codec -------------------------------------------------
+//
+// GetExternalViewResp and GetPDistancesResp share one layout:
+//   [0] version | [1] type | [2..5] i32 num_pids / from |
+//   [6..13] u64 version | [14..17] u32 count | [18..] doubles, big-endian
+// so row i of an n-PID view frame occupies bytes
+// [18 + i*n*8, 18 + (i+1)*n*8), byte-identical to the doubles of row i's
+// own frame. The serving cache splices rows out of the view frame, and a
+// follower splices delta rows back into it, on this one definition.
+
+/// Offset of the embedded u64 version field in a p-distance frame.
+inline constexpr std::size_t kDistanceFrameVersionOffset =
+    sizeof(std::uint8_t) + sizeof(std::uint8_t) + sizeof(std::int32_t);
+/// Offset of the first encoded double in a p-distance frame.
+inline constexpr std::size_t kDistanceFrameDoublesOffset =
+    kDistanceFrameVersionOffset + sizeof(std::uint64_t) + sizeof(std::uint32_t);
+static_assert(kDistanceFrameVersionOffset == 6 && kDistanceFrameDoublesOffset == 18,
+              "p-distance frame layout is part of the wire format");
+
+/// Encodes a GetExternalViewResp frame straight from row-major distances
+/// (num_pids^2 entries), into one exactly sized buffer. Same bytes as
+/// Encode(GetExternalViewResp{...}) without copying the distances first.
+/// Throws std::invalid_argument on a size mismatch.
+std::vector<std::uint8_t> EncodeExternalViewFrame(std::int32_t num_pids,
+                                                  std::uint64_t version,
+                                                  std::span<const double> distances);
+
+/// Builds row `from`'s GetPDistancesResp frame (stamped `version`) out of
+/// an encoded GetExternalViewResp frame: an 18-byte header plus a copy of
+/// the row's already-encoded doubles, byte-identical to
+/// Encode(GetPDistancesResp{...}) over the same row. Throws std::invalid_argument
+/// when `view_frame` is not a view frame of consistent size or `from` is
+/// not one of its PIDs.
+std::vector<std::uint8_t> SpliceRowFrame(std::span<const std::uint8_t> view_frame,
+                                         core::Pid from, std::uint64_t version);
+
 // --- UDP validation datagram codec -----------------------------------------
 //
 // The conditional (`if_version` -> NotModified) exchange compressed into one

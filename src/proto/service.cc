@@ -53,6 +53,8 @@ ITrackerService::encoded_state() const {
   next->not_modified = Encode(NotModifiedResp{snap->version});
 
   const int n = snap->view.size();
+  const auto un = static_cast<std::size_t>(n);
+  const auto values = snap->view.values();
   // Content stamping: diff each row's raw doubles against the previous
   // state's snapshot (byte compare — tolerant of NaN, and exact, since the
   // encoder is a bit-faithful function of these bytes). Unchanged rows keep
@@ -61,33 +63,16 @@ ITrackerService::encoded_state() const {
   // still earn NotModified across no-op version bumps.
   const auto prev = state;
   const bool diffable = prev && prev->snap && prev->snap->view.size() == n &&
-                        prev->rows.size() == static_cast<std::size_t>(n) &&
-                        prev->row_versions.size() == static_cast<std::size_t>(n);
-  next->row_versions.assign(static_cast<std::size_t>(n), snap->version);
-  next->rows.reserve(static_cast<std::size_t>(n));
+                        prev->rows.size() == un && prev->row_versions.size() == un;
+  std::vector<bool> changed(un, true);
   bool any_row_changed = !diffable;
-  GetPDistancesResp row;
-  row.version = snap->version;
-  for (core::Pid i = 0; i < n; ++i) {
-    const auto values = snap->view.values().subspan(
-        static_cast<std::size_t>(i) * static_cast<std::size_t>(n),
-        static_cast<std::size_t>(n));
-    if (diffable) {
-      const auto prev_values = prev->snap->view.values().subspan(
-          static_cast<std::size_t>(i) * static_cast<std::size_t>(n),
-          static_cast<std::size_t>(n));
-      if (std::memcmp(values.data(), prev_values.data(),
-                      static_cast<std::size_t>(n) * sizeof(double)) == 0) {
-        next->row_versions[static_cast<std::size_t>(i)] =
-            prev->row_versions[static_cast<std::size_t>(i)];
-        next->rows.push_back(prev->rows[static_cast<std::size_t>(i)]);
-        continue;
-      }
+  if (diffable) {
+    const auto prev_values = prev->snap->view.values();
+    for (std::size_t i = 0; i < un; ++i) {
+      changed[i] = std::memcmp(values.data() + i * un, prev_values.data() + i * un,
+                               un * sizeof(double)) != 0;
+      any_row_changed = any_row_changed || changed[i];
     }
-    any_row_changed = true;
-    row.from = i;
-    row.distances.assign(values.begin(), values.end());
-    next->rows.push_back(Encode(row));
   }
 
   if (!any_row_changed && n > 0) {
@@ -96,12 +81,26 @@ ITrackerService::encoded_state() const {
     next->view_version = prev->view_version;
     next->external_view = prev->external_view;
   } else {
+    // One encode of the whole matrix per version, straight from the
+    // snapshot's values.
     next->view_version = snap->version;
-    GetExternalViewResp view;
-    view.num_pids = n;
-    view.version = snap->version;
-    view.distances.assign(snap->view.values().begin(), snap->view.values().end());
-    next->external_view = Encode(view);
+    next->external_view = EncodeExternalViewFrame(n, snap->version, values);
+  }
+
+  // Changed rows are spliced out of the view frame just encoded: each is a
+  // fresh header plus a copy of the row's encoded doubles, never a second
+  // encode.
+  next->row_versions.resize(un);
+  next->rows.resize(un);
+  for (std::size_t i = 0; i < un; ++i) {
+    if (!changed[i]) {
+      next->row_versions[i] = prev->row_versions[i];
+      next->rows[i] = prev->rows[i];
+      continue;
+    }
+    next->row_versions[i] = snap->version;
+    next->rows[i] = SpliceRowFrame(next->external_view, static_cast<core::Pid>(i),
+                                   snap->version);
   }
 
   state_.store(next, std::memory_order_release);
@@ -338,10 +337,10 @@ Message PortalClient::Call(const Message& request) {
 }
 
 std::vector<double> PortalClient::GetPDistances(core::Pid from) {
-  const auto resp = Call(GetPDistancesReq{from});
-  const auto* r = std::get_if<GetPDistancesResp>(&resp);
+  auto resp = Call(GetPDistancesReq{from});
+  auto* r = std::get_if<GetPDistancesResp>(&resp);
   if (r == nullptr) throw std::runtime_error("PortalClient: wrong response type");
-  return r->distances;
+  return std::move(r->distances);
 }
 
 core::PDistanceMatrix PortalClient::GetExternalView() {
@@ -350,36 +349,29 @@ core::PDistanceMatrix PortalClient::GetExternalView() {
 
 namespace {
 
-core::PDistanceMatrix MatrixFromResp(const GetExternalViewResp& r) {
-  core::PDistanceMatrix m(r.num_pids);
-  for (core::Pid i = 0; i < r.num_pids; ++i) {
-    for (core::Pid j = 0; j < r.num_pids; ++j) {
-      m.set(i, j,
-            r.distances[static_cast<std::size_t>(i) *
-                            static_cast<std::size_t>(r.num_pids) +
-                        static_cast<std::size_t>(j)]);
-    }
-  }
-  return m;
+/// Moves the decoded distances into the matrix (Decode already checked
+/// num_pids^2 entries), so a fetched view is decoded once and never copied.
+std::pair<core::PDistanceMatrix, std::uint64_t> ViewFromResp(GetExternalViewResp& r) {
+  return {core::PDistanceMatrix(r.num_pids, std::move(r.distances)), r.version};
 }
 
 }  // namespace
 
 std::pair<core::PDistanceMatrix, std::uint64_t>
 PortalClient::GetExternalViewWithVersion() {
-  const auto resp = Call(GetExternalViewReq{});
-  const auto* r = std::get_if<GetExternalViewResp>(&resp);
+  auto resp = Call(GetExternalViewReq{});
+  auto* r = std::get_if<GetExternalViewResp>(&resp);
   if (r == nullptr) throw std::runtime_error("PortalClient: wrong response type");
-  return {MatrixFromResp(*r), r->version};
+  return ViewFromResp(*r);
 }
 
 std::optional<std::pair<core::PDistanceMatrix, std::uint64_t>>
 PortalClient::GetExternalViewIfModified(std::uint64_t known_version) {
-  const auto resp = Call(GetExternalViewReq{known_version});
+  auto resp = Call(GetExternalViewReq{known_version});
   if (std::get_if<NotModifiedResp>(&resp) != nullptr) return std::nullopt;
-  const auto* r = std::get_if<GetExternalViewResp>(&resp);
+  auto* r = std::get_if<GetExternalViewResp>(&resp);
   if (r == nullptr) throw std::runtime_error("PortalClient: wrong response type");
-  return std::make_pair(MatrixFromResp(*r), r->version);
+  return ViewFromResp(*r);
 }
 
 GetPolicyResp PortalClient::GetPolicy() {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <type_traits>
 
 namespace p4p::proto {
 
@@ -9,26 +10,47 @@ namespace {
 /// Header (magic + version + tag) and trailing checksum of a sealed frame.
 constexpr std::size_t kSealedHeaderBytes = 4 + 1 + 1;
 constexpr std::size_t kSealedOverheadBytes = kSealedHeaderBytes + 4;
+
+template <typename T>
+T ByteSwapIfLittle(T v) {
+  static_assert(std::is_unsigned_v<T> && (sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8));
+  if constexpr (std::endian::native == std::endian::big) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+/// Stores `v` big-endian at `out`; memcpy, so `out` needs no alignment.
+template <typename T>
+void StoreBigEndian(T v, std::uint8_t* out) {
+  v = ByteSwapIfLittle(v);
+  std::memcpy(out, &v, sizeof(T));
+}
+
+template <typename T>
+T LoadBigEndian(const std::uint8_t* in) {
+  T v;
+  std::memcpy(&v, in, sizeof(T));
+  return ByteSwapIfLittle(v);
+}
 }  // namespace
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
+template <typename T>
+void Writer::put(T v) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + sizeof(T));
+  StoreBigEndian(v, buf_.data() + at);
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+void Writer::u16(std::uint16_t v) { put(v); }
+void Writer::u32(std::uint32_t v) { put(v); }
+void Writer::u64(std::uint64_t v) { put(v); }
+void Writer::f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
 
 void Writer::str(std::string_view s) {
   if (s.size() > 0xFFFF) {
@@ -43,12 +65,18 @@ void Writer::f64_vec(std::span<const double> values) {
   if (values.size() > 0xFFFFFFFFULL) {
     throw std::length_error("Writer::f64_vec: vector too long");
   }
-  // One allocation for the whole vector; the per-element f64 appends below
-  // then never reallocate. This is the hot encoder: a portal external view
-  // is one n^2-element f64_vec.
+  // The hot encoder (a portal external view is one n^2-element f64_vec):
+  // one exact reservation, one resize, then one pass that stores each
+  // double's big-endian bytes straight into place.
   reserve(4 + values.size() * 8);
   u32(static_cast<std::uint32_t>(values.size()));
-  for (double v : values) f64(v);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + values.size() * 8);
+  std::uint8_t* out = buf_.data() + at;
+  for (const double v : values) {
+    StoreBigEndian(std::bit_cast<std::uint64_t>(v), out);
+    out += 8;
+  }
 }
 
 void Writer::raw(std::span<const std::uint8_t> bytes) {
@@ -83,21 +111,19 @@ std::uint8_t Reader::u8() {
 std::uint16_t Reader::u16() {
   const std::uint8_t* p = nullptr;
   if (!take(2, &p)) return 0;
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+  return LoadBigEndian<std::uint16_t>(p);
 }
 
 std::uint32_t Reader::u32() {
   const std::uint8_t* p = nullptr;
   if (!take(4, &p)) return 0;
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
+  return LoadBigEndian<std::uint32_t>(p);
 }
 
 std::uint64_t Reader::u64() {
-  std::uint64_t hi = u32();
-  std::uint64_t lo = u32();
-  return (hi << 32) | lo;
+  const std::uint8_t* p = nullptr;
+  if (!take(8, &p)) return 0;
+  return LoadBigEndian<std::uint64_t>(p);
 }
 
 double Reader::f64() { return std::bit_cast<double>(u64()); }
@@ -120,15 +146,15 @@ std::vector<std::uint8_t> Reader::blob() {
 
 std::vector<double> Reader::f64_vec() {
   const std::uint32_t len = u32();
-  // Reject absurd lengths before allocating (8 bytes per element must fit
-  // in the remaining buffer).
-  if (!ok_ || remaining() < static_cast<std::size_t>(len) * 8) {
-    ok_ = false;
-    return {};
+  const std::uint8_t* p = nullptr;
+  // take() rejects absurd lengths (8 bytes per element must fit in the
+  // remaining buffer) before anything is allocated.
+  if (!take(static_cast<std::size_t>(len) * 8, &p)) return {};
+  std::vector<double> out(len);
+  for (double& v : out) {
+    v = std::bit_cast<double>(LoadBigEndian<std::uint64_t>(p));
+    p += 8;
   }
-  std::vector<double> out;
-  out.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) out.push_back(f64());
   return out;
 }
 

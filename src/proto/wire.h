@@ -28,9 +28,10 @@ inline constexpr std::uint8_t kProtocolVersion = 1;
 class Writer {
  public:
   /// Pre-allocates room for `n` more bytes. The bulk appenders (str,
-  /// f64_vec) reserve for themselves; message encoders with per-element
-  /// loops of scalar writes should reserve their exact footprint up front
-  /// so encoding is a single allocation.
+  /// f64_vec, blob) reserve for themselves; message encoders with
+  /// per-element loops of scalar writes should reserve their exact
+  /// footprint up front so encoding is a single allocation. Each scalar
+  /// write grows the buffer once, by its full width.
   void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -42,7 +43,8 @@ class Writer {
   /// Length-prefixed (u16) UTF-8 string; throws std::length_error if longer
   /// than 65535 bytes.
   void str(std::string_view s);
-  /// Length-prefixed (u32) vector of doubles.
+  /// Length-prefixed (u32) vector of doubles, encoded in one pass into an
+  /// exactly reserved tail.
   void f64_vec(std::span<const double> values);
   /// Appends raw bytes verbatim (used to embed pre-encoded frames).
   void raw(std::span<const std::uint8_t> bytes);
@@ -55,6 +57,9 @@ class Writer {
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void put(T v);
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -71,6 +76,8 @@ class Reader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64();
   std::string str();
+  /// Decodes a length-prefixed vector of doubles in one pass; the length is
+  /// checked against the remaining bytes before anything is allocated.
   std::vector<double> f64_vec();
   std::vector<std::uint8_t> blob();
 

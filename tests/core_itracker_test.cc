@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+#include <tuple>
 
+#include "net/synth.h"
 #include "net/topology.h"
+#include "support/path_sum_view_oracle.h"
 
 namespace p4p::core {
 namespace {
@@ -418,6 +425,132 @@ TEST_F(ITrackerTest, SuperGradientConvergesTowardBalancedPrices) {
     if (e != hot) others += tracker.link_price(static_cast<net::LinkId>(e));
   }
   EXPECT_GT(hot_price, others);  // dominant dual on the bottleneck
+}
+
+// The O(n^2) tree-order view build against the per-path-sum oracle: the
+// totals must be bit-identical (memcmp), not merely close, because the
+// serving cache diffs raw row bytes and the bench figures are pinned.
+
+void ExpectViewMatchesPathSums(const ITracker& tracker, const net::RoutingTable& routing,
+                               const std::string& label) {
+  const auto view = tracker.external_view();
+  const auto oracle = testsupport::PathSumView(tracker, routing);
+  ASSERT_EQ(view.size(), oracle.size()) << label;
+  const auto a = view.values();
+  const auto b = oracle.values();
+  if (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0) return;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (std::memcmp(&a[k], &b[k], sizeof(double)) != 0) {
+      ADD_FAILURE() << label << ": first difference at (" << k / view.size() << ", "
+                    << k % view.size() << "): " << a[k] << " vs oracle " << b[k];
+      return;
+    }
+  }
+}
+
+/// Drives `tracker` through a few super-gradient steps under random loads
+/// (every link's price moves, so every path sum is non-trivial).
+void Reprice(ITracker& tracker, const net::Graph& graph, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> util(0.05, 1.2);
+  std::vector<double> bg(graph.link_count());
+  std::vector<double> load(graph.link_count());
+  for (std::size_t e = 0; e < bg.size(); ++e) {
+    const double cap = graph.link(static_cast<net::LinkId>(e)).capacity_bps;
+    bg[e] = 0.3 * util(rng) * cap;
+    load[e] = util(rng) * cap;
+  }
+  tracker.set_background_bps(bg);
+  for (int k = 0; k < 3; ++k) tracker.Update(load);
+}
+
+TEST(ITrackerViewOracle, IspBMatchesPathSumsUnderEveryObjectiveAndNoise) {
+  const net::Graph graph = net::MakeIspB();
+  const net::RoutingTable routing(graph);
+  for (const auto objective :
+       {IspObjective::kMinMlu, IspObjective::kBandwidthDistanceProduct,
+        IspObjective::kPeakBandwidth}) {
+    for (const double noise : {0.0, 0.05}) {
+      ITrackerConfig cfg;
+      cfg.objective = objective;
+      cfg.privacy_noise = noise;
+      cfg.intra_pid_distance = 0.125;
+      ITracker tracker(graph, routing, cfg);
+      const std::string label = "objective " + std::to_string(static_cast<int>(objective)) +
+                                " noise " + std::to_string(noise);
+      ExpectViewMatchesPathSums(tracker, routing, label + " (initial)");
+      Reprice(tracker, graph, 7);
+      ExpectViewMatchesPathSums(tracker, routing, label);
+    }
+  }
+}
+
+TEST(ITrackerViewOracle, DeclaredInterdomainLinkMatchesPathSums) {
+  const net::Graph graph = net::MakeIspB();
+  const net::RoutingTable routing(graph);
+  for (const auto objective :
+       {IspObjective::kMinMlu, IspObjective::kBandwidthDistanceProduct}) {
+    ITrackerConfig cfg;
+    cfg.objective = objective;
+    ITracker tracker(graph, routing, cfg);
+    tracker.DeclareInterdomainLink(3, 1e8);
+    tracker.DeclareInterdomainLink(10, 5e8);
+    Reprice(tracker, graph, 11);
+    ASSERT_GT(tracker.interdomain_price(3), 0.0);
+    ExpectViewMatchesPathSums(tracker, routing,
+                              "objective " + std::to_string(static_cast<int>(objective)));
+  }
+}
+
+TEST(ITrackerViewOracle, SyntheticTopologiesMatchPathSums) {
+  for (const auto& [pops, metros, international] :
+       {std::tuple{20, 8, false}, std::tuple{37, 9, true}, std::tuple{144, 12, false}}) {
+    net::SynthConfig synth;
+    synth.num_pops = pops;
+    synth.num_metros = metros;
+    synth.international = international;
+    synth.seed = static_cast<std::uint64_t>(pops);
+    const net::Graph graph = net::MakeSynthTopology(synth);
+    const net::RoutingTable routing(graph);
+    ITrackerConfig cfg;
+    cfg.privacy_noise = 0.02;
+    ITracker tracker(graph, routing, cfg);
+    Reprice(tracker, graph, static_cast<std::uint64_t>(pops));
+    ExpectViewMatchesPathSums(tracker, routing, std::to_string(pops) + " PoPs");
+  }
+}
+
+TEST(ITrackerViewOracle, UnreachablePairsAndEqualCostTiesMatchPathSums) {
+  // a-b-c-d square with two equal-cost a->c routes (the lower link id
+  // wins), a one-way e->a spur (a cannot reach e), and an isolated island.
+  net::Graph g;
+  const auto a = g.add_node("a");
+  const auto b = g.add_node("b");
+  const auto c = g.add_node("c");
+  const auto d = g.add_node("d");
+  const auto e = g.add_node("e");
+  const auto island = g.add_node("island");
+  g.add_duplex_link(a, b, 1e9, 1.0, 3.0);
+  g.add_duplex_link(b, c, 2e9, 1.0, 5.0);
+  g.add_duplex_link(a, d, 1e9, 1.0, 7.0);
+  g.add_duplex_link(d, c, 4e9, 1.0, 11.0);
+  g.add_link(e, a, 1e9, 2.0, 13.0);
+  const net::RoutingTable routing(g);
+  ASSERT_FALSE(routing.reachable(a, e));
+  ASSERT_FALSE(routing.reachable(a, island));
+  ASSERT_TRUE(routing.reachable(e, c));
+  for (const double noise : {0.0, 0.1}) {
+    ITrackerConfig cfg;
+    cfg.objective = IspObjective::kBandwidthDistanceProduct;
+    cfg.privacy_noise = noise;
+    ITracker tracker(g, routing, cfg);
+    Reprice(tracker, g, 5);
+    ExpectViewMatchesPathSums(tracker, routing, "noise " + std::to_string(noise));
+    const auto view = tracker.external_view();
+    EXPECT_TRUE(std::isinf(view.at(a, e)));
+    EXPECT_TRUE(std::isinf(view.at(island, a)));
+    EXPECT_EQ(view.at(island, island), 0.0);
+  }
 }
 
 }  // namespace

@@ -43,6 +43,21 @@ TEST(PDistanceMatrix, RejectsNegativeSize) {
   EXPECT_THROW(PDistanceMatrix(-1), std::invalid_argument);
 }
 
+TEST(PDistanceMatrix, AdoptsRowMajorValues) {
+  const PDistanceMatrix m(2, std::vector<double>{0.0, 1.5, 2.5, 0.0});
+  EXPECT_EQ(m.size(), 2);
+  EXPECT_DOUBLE_EQ(m.at(0, 1), 1.5);
+  EXPECT_DOUBLE_EQ(m.at(1, 0), 2.5);
+  EXPECT_EQ(PDistanceMatrix(0, std::vector<double>{}).size(), 0);
+}
+
+TEST(PDistanceMatrix, ValuesConstructorRejectsSizeMismatch) {
+  EXPECT_THROW(PDistanceMatrix(2, std::vector<double>(3)), std::invalid_argument);
+  EXPECT_THROW(PDistanceMatrix(2, std::vector<double>(5)), std::invalid_argument);
+  EXPECT_THROW(PDistanceMatrix(0, std::vector<double>(1)), std::invalid_argument);
+  EXPECT_THROW(PDistanceMatrix(-1, std::vector<double>(1)), std::invalid_argument);
+}
+
 TEST(PDistanceMatrix, RankFromOrdersByDistance) {
   PDistanceMatrix m(4);
   m.set(0, 0, 0.0);

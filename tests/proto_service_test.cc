@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/topology.h"
+#include "support/distance_frame_oracle.h"
 
 namespace p4p::proto {
 namespace {
@@ -199,6 +202,45 @@ TEST_F(ServiceTest, CacheDisabledMatchesCachedBytes) {
   for (const auto& req : requests) {
     EXPECT_EQ(cached.Handle(req), plain.Handle(req));
   }
+}
+
+TEST_F(ServiceTest, ExportedFramesMatchReferenceEncoderAcrossPartialReprice) {
+  // Static prices; the second reprice moves one link's price, so only the
+  // rows whose routes cross it are re-spliced out of the new view frame.
+  // Every frame must equal an independent per-element encode of the
+  // tracker's values at the frame's content version.
+  core::ITrackerConfig cfg;
+  cfg.mode = core::PriceMode::kStatic;
+  core::ITracker tracker(graph_, routing_, cfg);
+  std::vector<double> prices(graph_.link_count(), 0.25);
+  tracker.SetStaticPrices(prices);
+  ITrackerService service(&tracker);
+  const auto before = service.ExportFrames();
+  const auto view_before = tracker.external_view();
+  prices[0] = 4.0;
+  tracker.SetStaticPrices(prices);
+  const auto after = service.ExportFrames();
+  const auto view_after = tracker.external_view();
+
+  const int n = tracker.num_pids();
+  EXPECT_EQ(after.external_view,
+            testsupport::ReferenceDistanceFrame(MsgType::kGetExternalViewResp, n,
+                                                after.version, view_after.values()));
+  int changed = 0;
+  for (core::Pid i = 0; i < n; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    const bool moved = !std::equal(view_before.row(i).begin(), view_before.row(i).end(),
+                                   view_after.row(i).begin());
+    changed += moved ? 1 : 0;
+    EXPECT_EQ(after.row_versions[idx], moved ? after.version : before.row_versions[idx]);
+    EXPECT_EQ(after.rows[idx],
+              testsupport::ReferenceDistanceFrame(MsgType::kGetPDistancesResp, i,
+                                                  after.row_versions[idx],
+                                                  view_after.row(i)))
+        << "row " << i;
+  }
+  EXPECT_GT(changed, 0);
+  EXPECT_LT(changed, n);
 }
 
 TEST_F(ServiceTest, SharedHandlerReturnsSameBufferForRepeatRequests) {

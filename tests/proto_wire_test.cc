@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstring>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "proto/federation.h"
 #include "proto/messages.h"
 #include "proto/telemetry.h"
+#include "support/distance_frame_oracle.h"
 
 namespace p4p::proto {
 namespace {
@@ -107,6 +112,41 @@ TEST(Wire, HostileVectorLengthRejected) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Wire, TruncatedVectorRejectedAtEveryCut) {
+  Writer w;
+  w.f64_vec(std::vector<double>{1.0, -2.5, 1e9});
+  const auto& bytes = w.bytes();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    Reader r(std::span<const std::uint8_t>(bytes.data(), cut));
+    EXPECT_TRUE(r.f64_vec().empty()) << "cut=" << cut;
+    EXPECT_FALSE(r.ok()) << "cut=" << cut;
+  }
+}
+
+TEST(Wire, VectorLengthOneElementPastBufferRejected) {
+  // The length claims one double more than the bytes that follow.
+  Writer w;
+  w.u32(3);
+  w.f64(1.0);
+  w.f64(2.0);
+  Reader r(w.bytes());
+  EXPECT_TRUE(r.f64_vec().empty());
+  EXPECT_FALSE(r.ok());
+  // A failed read leaves the reader failed.
+  EXPECT_EQ(r.u64(), 0u);
+  EXPECT_FALSE(r.done());
+}
+
+TEST(Wire, MaxVectorLengthRejected) {
+  // 0xFFFFFFFF * 8 overflows 32 bits; the check must not wrap.
+  Writer w;
+  w.u32(0xFFFFFFFFu);
+  w.f64(1.0);
+  Reader r(w.bytes());
+  EXPECT_TRUE(r.f64_vec().empty());
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(Wire, DoneDetectsTrailingBytes) {
   Writer w;
   w.u8(1);
@@ -145,6 +185,18 @@ TEST(Wire, VectorEncodeReservesExactly) {
     w.f64_vec(std::vector<double>(n, 1.5));
     EXPECT_EQ(w.bytes().capacity(), w.bytes().size()) << "n=" << n;
   }
+}
+
+TEST(Wire, ScalarWritesMatchShiftedBytes) {
+  Writer w;
+  w.u16(0xA1B2);
+  w.u32(0xC3D4E5F6u);
+  w.u64(0x0102030405060708ULL);
+  w.f64(-2.0);  // 0xC000000000000000
+  const std::vector<std::uint8_t> expected = {
+      0xA1, 0xB2, 0xC3, 0xD4, 0xE5, 0xF6, 0x01, 0x02, 0x03, 0x04,
+      0x05, 0x06, 0x07, 0x08, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(w.bytes(), expected);
 }
 
 TEST(Wire, RandomMatrixMessagesRoundTripWithTightCapacity) {
@@ -275,6 +327,138 @@ TEST(WireKnownAnswer, ValidationResponseBytes) {
   EXPECT_EQ(response->nonce, 0xa1b2c3d4e5f60718ULL);
   EXPECT_EQ(response->status, ValidationStatus::kNotModified);
   EXPECT_EQ(response->version, 42u);
+}
+
+// p-distance frames: the doubles are stored as their raw IEEE-754 bits,
+// big-endian, so signed zeros, infinities, NaN payloads and denormals all
+// cross the wire unchanged.
+
+const double kNaNWithPayload = std::bit_cast<double>(0x7FF8000000000ABCULL);
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(WireKnownAnswer, PDistancesRespBytes) {
+  const std::vector<std::uint8_t> expected = {
+      0x01, 0x02,                                      // version, kGetPDistancesResp
+      0x00, 0x00, 0x00, 0x03,                          // from
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // version
+      0x00, 0x00, 0x00, 0x05,                          // count
+      0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // -0.0
+      0x7f, 0xf0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // +inf
+      0x7f, 0xf8, 0x00, 0x00, 0x00, 0x00, 0x0a, 0xbc,  // NaN, payload 0xabc
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,  // smallest denormal
+      0x7f, 0xef, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}; // DBL_MAX
+  const std::vector<double> row = {-0.0, std::numeric_limits<double>::infinity(),
+                                   kNaNWithPayload,
+                                   std::numeric_limits<double>::denorm_min(), DBL_MAX};
+  EXPECT_EQ(Encode(GetPDistancesResp{3, 0x0102030405060708ULL, row}), expected);
+  const auto decoded = Decode(expected);
+  ASSERT_TRUE(decoded.has_value());
+  const auto& resp = std::get<GetPDistancesResp>(*decoded);
+  EXPECT_EQ(resp.from, 3);
+  EXPECT_EQ(resp.version, 0x0102030405060708ULL);
+  EXPECT_TRUE(SameBits(resp.distances, row));
+}
+
+TEST(WireKnownAnswer, ExternalViewRespBytes) {
+  const std::vector<std::uint8_t> expected = {
+      0x01, 0x04,                                      // version, kGetExternalViewResp
+      0x00, 0x00, 0x00, 0x02,                          // num_pids
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a,  // version
+      0x00, 0x00, 0x00, 0x04,                          // count
+      0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // (0,0) -0.0
+      0x7f, 0xf8, 0x00, 0x00, 0x00, 0x00, 0x0a, 0xbc,  // (0,1) NaN, payload 0xabc
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,  // (1,0) smallest denormal
+      0x7f, 0xf0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}; // (1,1) +inf
+  const std::vector<double> view = {-0.0, kNaNWithPayload,
+                                    std::numeric_limits<double>::denorm_min(),
+                                    std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(Encode(GetExternalViewResp{2, 42, view}), expected);
+  EXPECT_EQ(EncodeExternalViewFrame(2, 42, view), expected);
+  const auto decoded = Decode(expected);
+  ASSERT_TRUE(decoded.has_value());
+  const auto& resp = std::get<GetExternalViewResp>(*decoded);
+  EXPECT_EQ(resp.num_pids, 2);
+  EXPECT_EQ(resp.version, 42u);
+  EXPECT_TRUE(SameBits(resp.distances, view));
+
+  // Row 1 spliced out of the view frame, restamped at version 7.
+  const std::vector<std::uint8_t> row1 = {
+      0x01, 0x02,                                      // version, kGetPDistancesResp
+      0x00, 0x00, 0x00, 0x01,                          // from
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,  // version
+      0x00, 0x00, 0x00, 0x02,                          // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,  // smallest denormal
+      0x7f, 0xf0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}; // +inf
+  EXPECT_EQ(SpliceRowFrame(expected, 1, 7), row1);
+}
+
+TEST(WireDistanceFrame, BulkCodecMatchesReferenceEncoder) {
+  // Random bit patterns cover every double class (NaNs with arbitrary
+  // payloads, signed zeros, infinities, denormals).
+  std::mt19937_64 rng(20261020);
+  for (const int n : {0, 1, 2, 7, 52, 144}) {
+    const auto un = static_cast<std::size_t>(n);
+    std::vector<double> values(un * un);
+    for (auto& v : values) v = std::bit_cast<double>(rng());
+    const std::uint64_t version = rng();
+
+    const auto view = EncodeExternalViewFrame(n, version, values);
+    EXPECT_EQ(view, testsupport::ReferenceDistanceFrame(MsgType::kGetExternalViewResp, n,
+                                                        version, values))
+        << "n=" << n;
+    EXPECT_EQ(view.capacity(), view.size()) << "n=" << n;
+    EXPECT_EQ(Encode(GetExternalViewResp{n, version, values}), view) << "n=" << n;
+    const auto decoded = Decode(view);
+    ASSERT_TRUE(decoded.has_value()) << "n=" << n;
+    EXPECT_TRUE(SameBits(std::get<GetExternalViewResp>(*decoded).distances, values));
+
+    for (int i = 0; i < n; ++i) {
+      const std::span<const double> row(values.data() + static_cast<std::size_t>(i) * un, un);
+      const std::uint64_t row_version = rng();
+      const auto reference = testsupport::ReferenceDistanceFrame(
+          MsgType::kGetPDistancesResp, i, row_version, row);
+      const auto spliced = SpliceRowFrame(view, i, row_version);
+      ASSERT_EQ(spliced, reference) << "n=" << n << " row=" << i;
+      EXPECT_EQ(spliced.capacity(), spliced.size());
+      EXPECT_EQ(Encode(GetPDistancesResp{i, row_version, {row.begin(), row.end()}}),
+                reference);
+    }
+  }
+}
+
+TEST(WireDistanceFrame, ViewWhoseLengthIsNotNumPidsSquaredFailsToDecode) {
+  const std::vector<double> eight(8, 1.0);
+  EXPECT_FALSE(Decode(testsupport::ReferenceDistanceFrame(
+                          MsgType::kGetExternalViewResp, 3, 1, eight))
+                   .has_value());
+  EXPECT_FALSE(Decode(testsupport::ReferenceDistanceFrame(
+                          MsgType::kGetExternalViewResp, -2, 1, std::vector<double>(4)))
+                   .has_value());
+  // A count past the bytes that follow is a truncated frame.
+  auto frame = testsupport::ReferenceDistanceFrame(MsgType::kGetExternalViewResp, 2, 1,
+                                                   std::vector<double>(4, 1.0));
+  frame.pop_back();
+  EXPECT_FALSE(Decode(frame).has_value());
+}
+
+TEST(WireDistanceFrame, EncodersRejectInconsistentInput) {
+  EXPECT_THROW(EncodeExternalViewFrame(3, 1, std::vector<double>(8)),
+               std::invalid_argument);
+  EXPECT_THROW(EncodeExternalViewFrame(-1, 1, std::vector<double>(1)),
+               std::invalid_argument);
+  const auto view = EncodeExternalViewFrame(2, 1, std::vector<double>(4, 0.5));
+  EXPECT_THROW(SpliceRowFrame(view, 2, 1), std::invalid_argument);
+  EXPECT_THROW(SpliceRowFrame(view, -1, 1), std::invalid_argument);
+  auto short_view = view;
+  short_view.pop_back();
+  EXPECT_THROW(SpliceRowFrame(short_view, 0, 1), std::invalid_argument);
+  // A row frame is not a view frame.
+  EXPECT_THROW(SpliceRowFrame(Encode(GetPDistancesResp{0, 1, {0.5}}), 0, 1),
+               std::invalid_argument);
 }
 
 }  // namespace
